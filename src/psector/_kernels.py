@@ -1,14 +1,22 @@
 """Hot numeric kernels: red-black SOR sweeps for the measure solver.
 
+The solver freezes the four edge coefficients for a whole Picard cycle, so
+the sweep is split in two: sor_system(aW, aE, aS, aN) prepares what stays
+fixed, once per cycle, and sor_sweep(u, system, omega) does one full
+red-black sweep against it.
+
 Two interchangeable implementations: a numba @njit version (default when
-numba imports) and a vectorized pure-numpy fallback.  Selection:
+numba imports) and a vectorized pure-numpy one.  Selection:
 
 * env var PSECTOR_NO_NUMBA=1 forces the numpy path;
 * a missing numba install falls back silently.
 
-Both paths perform the identical red-black update (same floating-point
-expression per node), so results agree bitwise.  benchmarks/bench_kernels.py
-compares their throughput.
+The numpy path updates each colour as two strided sublattices, the odd and
+the even interior rows (u[i0::2, j0::2] against the neighbouring strided
+views of u), with contiguous per-sublattice copies of the coefficients and
+of the diagonal made by sor_system.  Both paths evaluate the identical
+floating-point expression per node in the same order, so results agree
+bitwise.
 """
 
 from __future__ import annotations
@@ -34,17 +42,53 @@ def backend() -> str:
     return "numba" if _HAVE_NUMBA else "numpy"
 
 
+def _pack(shape, coef, color):
+    """The two interior sublattices of one colour, (i + j) & 1 == color.
+
+    One block per interior-row parity: index pairs of the node and of its
+    west (i-1), east (i+1), south (j-1) and north (j+1) neighbours into u,
+    then contiguous copies of aW, aE, aS, aN at the nodes and the diagonal.
+    """
+    n_r, n_phi = shape
+    blocks = []
+    for i0 in (1, 2):
+        j0 = 1 + ((i0 + 1 + color) & 1)
+        m = len(range(i0, n_r - 1, 2))
+        q = len(range(j0, n_phi - 1, 2))
+        if m == 0 or q == 0:
+            continue
+
+        def at(di, dj):
+            a, b = i0 + di, j0 + dj
+            return slice(a, a + 2 * m - 1, 2), slice(b, b + 2 * q - 1, 2)
+
+        aW, aE, aS, aN = (np.ascontiguousarray(a[at(0, 0)]) for a in coef)
+        s = (aW + aE) + (aS + aN)
+        blocks.append((at(0, 0), at(-1, 0), at(1, 0), at(0, -1), at(0, 1),
+                       aW, aE, aS, aN, s))
+    return blocks
+
+
+def _relax(u, block, omega):
+    # same-colour nodes do not couple, so one vectorized update of a block
+    # equals the sequential one; grouping as in _sor_color_nb
+    at_c, at_w, at_e, at_s, at_n, aW, aE, aS, aN, s = block
+    nbr = aW * u[at_w]
+    nbr += aE * u[at_e]
+    t = aS * u[at_s]
+    t += aN * u[at_n]
+    nbr += t
+    nbr /= s
+    uc = u[at_c]
+    nbr -= uc
+    nbr *= omega
+    uc += nbr
+
+
 def _sor_color_py(u, aW, aE, aS, aN, omega, color):
-    # one half-sweep over nodes with (i + j) parity == color, vectorized;
-    # same-color nodes do not couple, so this equals the sequential update
-    n_r, n_phi = u.shape
-    nbr = aW[1:-1, 1:-1] * u[:-2, 1:-1] + aE[1:-1, 1:-1] * u[2:, 1:-1]
-    nbr += aS[1:-1, 1:-1] * u[1:-1, :-2] + aN[1:-1, 1:-1] * u[1:-1, 2:]
-    s = (aW[1:-1, 1:-1] + aE[1:-1, 1:-1]) + (aS[1:-1, 1:-1] + aN[1:-1, 1:-1])
-    ii, jj = np.indices((n_r - 2, n_phi - 2))
-    mask = ((ii + jj) & 1) == color
-    upd = u[1:-1, 1:-1] + omega * (nbr / s - u[1:-1, 1:-1])
-    u[1:-1, 1:-1] = np.where(mask, upd, u[1:-1, 1:-1])
+    # one half-sweep over nodes with (i + j) parity == color, vectorized
+    for block in _pack(u.shape, (aW, aE, aS, aN), color):
+        _relax(u, block, omega)
 
 
 if _HAVE_NUMBA:
@@ -62,16 +106,32 @@ if _HAVE_NUMBA:
                 )
                 u[i, j] = u[i, j] + omega * (nbr / s - u[i, j])
 
-    _sor_color = _sor_color_nb
+    def sor_system(aW, aE, aS, aN):  # pragma: no cover - numba only
+        """The frozen coefficients of one Picard cycle, ready for sor_sweep."""
+        return aW, aE, aS, aN
+
+    def sor_sweep(u, system, omega) -> None:  # pragma: no cover - numba only
+        """One full red-black SOR sweep, in place; see the numpy variant."""
+        _sor_color_nb(u, *system, omega, 0)
+        _sor_color_nb(u, *system, omega, 1)
+
 else:
-    _sor_color = _sor_color_py
 
+    def sor_system(aW, aE, aS, aN):
+        """The frozen coefficients of one Picard cycle, ready for sor_sweep.
 
-def sor_sweep(u, aW, aE, aS, aN, omega) -> None:
-    """One full red-black SOR sweep, in place.
+        The a-arrays are nonnegative edge coefficients toward the four
+        neighbours, of the shape of the field to be swept.  Build the system
+        again after changing them.
+        """
+        coef = (aW, aE, aS, aN)
+        return _pack(aW.shape, coef, 0) + _pack(aW.shape, coef, 1)
 
-    Interior nodes only; rows/columns 0 and -1 hold Dirichlet data.  The
-    a-arrays are nonnegative edge coefficients toward the four neighbors.
-    """
-    _sor_color(u, aW, aE, aS, aN, omega, 0)
-    _sor_color(u, aW, aE, aS, aN, omega, 1)
+    def sor_sweep(u, system, omega) -> None:
+        """One full red-black SOR sweep, in place.
+
+        Interior nodes only; rows/columns 0 and -1 hold Dirichlet data.
+        system comes from sor_system for arrays of u's shape.
+        """
+        for block in system:
+            _relax(u, block, omega)

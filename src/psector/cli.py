@@ -158,7 +158,7 @@ def cmd_profile(args) -> int:
 
 def cmd_measure(args) -> int:
     cfg = _load_config(args)
-    from .experiments import run_measure_experiment
+    from .experiments import mc_agreement, require_mc_applicable
     from .measure import (
         INNER_ARC,
         MeasureProblem,
@@ -168,14 +168,16 @@ def cmd_measure(args) -> int:
         write_summary_json,
     )
 
-    out_dir = _resolve_outdir(cfg, args)
-    os.makedirs(out_dir, exist_ok=True)
-    stem = f"measure_{args.nu:g}_{args.p:g}" + ("_inner" if args.inner_arc else "")
     problem = MeasureProblem(
         nu=args.nu, p=args.p, R=args.R, n_r=cfg.n_r, n_phi=cfg.n_phi,
         eps_reg=cfg.eps_reg, tol=cfg.tol, max_iter=cfg.max_iter,
         arc_target=INNER_ARC if args.inner_arc else "full_arc",
     )
+    if args.mc_check:
+        require_mc_applicable(problem)
+    out_dir = _resolve_outdir(cfg, args)
+    os.makedirs(out_dir, exist_ok=True)
+    stem = f"measure_{args.nu:g}_{args.p:g}" + ("_inner" if args.inner_arc else "")
     sol = solve_measure(problem)
     k = radial_exponent(args.nu, args.p)
     window = (0.05 * args.R, 0.4 * args.R)
@@ -190,14 +192,7 @@ def cmd_measure(args) -> int:
         "ratio_max": hi,
     }
     if args.mc_check:
-        rep = run_measure_experiment(
-            args.nu, args.p, n_r=cfg.n_r, n_phi=cfg.n_phi, eps_reg=cfg.eps_reg,
-            mc_check=True, seed=cfg.seed,
-        )
-        extra["mc_agreement"] = [r for r in rep.rows if "mc" in r]
-        extra["mc_within_3_sigma"] = all(
-            c["passed"] for c in rep.criteria if "walk" in c["name"]
-        )
+        extra["mc_agreement"], extra["mc_within_3_sigma"] = mc_agreement(sol, seed=cfg.seed)
     sol.to_csv(os.path.join(out_dir, stem + ".csv"))
     write_summary_json(sol, os.path.join(out_dir, stem + ".json"), extra)
     print(f"k = {_fmt(k)}")
@@ -285,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inner-arc", action="store_true",
                     help="prescribe data on the inner sub-arc variant")
     sp.add_argument("--mc-check", action="store_true",
-                    help="add the walk-on-spheres agreement block (p = 2)")
+                    help="add the walk-on-spheres agreement block "
+                         "(p = 2, full arc)")
     common(sp)
     sp.set_defaults(func=cmd_measure)
 

@@ -22,10 +22,12 @@ from .exponent import (
     radial_exponent_inf,
 )
 from .measure import (
+    FULL_ARC,
     INNER_ARC,
     REGION_S2NU,
     REGION_SNU,
     MeasureProblem,
+    MeasureSolution,
     comparability_constants,
     fit_slope,
     mc_harmonic_measure,
@@ -180,6 +182,36 @@ def run_exponent_table(nu_grid=None, p_grid=None) -> ExperimentReport:
 # measure experiments
 
 
+def require_mc_applicable(problem: MeasureProblem) -> None:
+    """Raise DomainError unless the walk-on-spheres oracle models the problem:
+    it estimates harmonic (p = 2) measure of the full arc."""
+    if problem.p != 2.0:
+        raise DomainError("walk-on-spheres oracle applies to p = 2 only")
+    if problem.arc_target != FULL_ARC:
+        raise DomainError("walk-on-spheres oracle counts hits on the full arc only")
+
+
+def mc_agreement(sol: MeasureSolution, n_walks: int = 100000, seed: int = 0):
+    """Compare a solved p = 2 field with walk-on-spheres at five probes.
+
+    The probes sit at fixed fractions of R.  Returns (rows, ok): one row per
+    probe, and whether every probe agrees within 3 standard errors.
+    """
+    pr = sol.problem
+    require_mc_applicable(pr)
+    alpha = pr.half_aperture
+    probes = [(0.3 * pr.R, 0.0), (0.5 * pr.R, 0.0), (0.7 * pr.R, 0.0),
+              (0.45 * pr.R, alpha / 3.0), (0.6 * pr.R, -alpha / 3.0)]
+    mc = mc_harmonic_measure(pr.nu, pr.R, probes, n_walks, seed)
+    rows = []
+    for (r0, phi0), (est, se) in zip(probes, mc):
+        num = float(np.interp(r0, sol.r, sol.ray_values(phi0)))
+        rows.append({"nu": pr.nu, "p": pr.p, "probe_r": r0, "probe_phi": phi0,
+                     "solver": num, "mc": est, "mc_stderr": se,
+                     "deviation_sigma": abs(num - est) / se})
+    return rows, all(row["deviation_sigma"] <= 3.0 for row in rows)
+
+
 def run_measure_experiment(nu: float, p: float, n_r: int = 256, n_phi: int = 256,
                            slope_tol: float = 0.10, r_window=(0.05, 0.4),
                            eps_reg: float = 1e-6, mc_check: bool = False,
@@ -193,6 +225,8 @@ def run_measure_experiment(nu: float, p: float, n_r: int = 256, n_phi: int = 256
         provenance={"seed": seed, "tolerance": 1e-8},
     )
     problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi, eps_reg=eps_reg)
+    if mc_check:
+        require_mc_applicable(problem)
     sol = solve_measure(problem)
     rep.check("solver converged", sol.converged,
               f"iterations {sol.iterations}, final update {sol.final_update:.2e}")
@@ -211,20 +245,8 @@ def run_measure_experiment(nu: float, p: float, n_r: int = 256, n_phi: int = 256
     rep.rows.append({"nu": nu, "p": p, "k": k, "ratio_min": lo, "ratio_max": hi,
                      "certificate": hi / lo})
     if mc_check:
-        if p != 2.0:
-            raise DomainError("walk-on-spheres oracle applies to p = 2 only")
-        alpha = problem.half_aperture
-        probes = [(0.3, 0.0), (0.5, 0.0), (0.7, 0.0),
-                  (0.45, alpha / 3.0), (0.6, -alpha / 3.0)]
-        mc = mc_harmonic_measure(nu, problem.R, probes, n_walks, seed)
-        ok = True
-        for (r0, phi0), (est, se) in zip(probes, mc):
-            num = float(np.interp(r0, sol.r, sol.ray_values(phi0)))
-            dev = abs(num - est) / se
-            ok = ok and dev <= 3.0
-            rep.rows.append({"nu": nu, "p": p, "probe_r": r0, "probe_phi": phi0,
-                             "solver": num, "mc": est, "mc_stderr": se,
-                             "deviation_sigma": dev})
+        rows, ok = mc_agreement(sol, n_walks, seed)
+        rep.rows.extend(rows)
         rep.check("walk-on-spheres agreement within 3 sigma", ok)
     return rep
 

@@ -11,8 +11,9 @@ benign cases: continuation in p from the linear problem (steps of at most 1,
 warm-started), a small SOR margin below the optimal relaxation factor for
 the p > 2 stages, and adaptive damping of the Picard step triggered by the
 two observed instability signatures (period-2 update flips at data-jump
-nodes, slow regrowth of the update norm at the arc).  The discrete energy is
-recorded per cycle as a convergence diagnostic.
+nodes, slow regrowth of the update norm at the arc).  The discrete energy of
+the stage being solved (its own p) is recorded per cycle as a convergence
+diagnostic.
 
 mc_harmonic_measure is an independent walk-on-spheres Monte Carlo oracle for
 the p = 2 case.  fit_slope extracts the radial decay exponent from a solved
@@ -249,8 +250,8 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         for it in range(1, budget + 1):
             g_r, g_a = _edge_grad2(u, r, rmid, hr, dphi)
             history.append(float(
-                0.5 * (np.sum(w_r * (g_r + eps2) ** (pr.p / 2.0))
-                       + np.sum(w_a * (g_a + eps2) ** (pr.p / 2.0)))
+                0.5 * (np.sum(w_r * (g_r + eps2) ** (p_stage / 2.0))
+                       + np.sum(w_a * (g_a + eps2) ** (p_stage / 2.0)))
             ))
             cE = (g_r + eps2) ** pm2h * rmid[:, None] * dphi / hr[:, None]
             cN = (g_a + eps2) ** pm2h * drc[:, None] / (r[:, None] * dphi)
@@ -258,9 +259,10 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             aW[1:, :] = cE
             aN[:, :-1] = cN
             aS[:, 1:] = cN
+            system = _kernels.sor_system(aW, aE, aS, aN)
             uold = u.copy()
             for _ in range(pr.inner_sweeps):
-                _kernels.sor_sweep(u, aW, aE, aS, aN, omega)
+                _kernels.sor_sweep(u, system, omega)
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
             if p_stage != 2.0:

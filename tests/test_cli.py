@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from psector import measure
 from psector.cli import main
+from psector.experiments import run_measure_experiment
 from psector.profile import read_profile_csv
 
 
@@ -121,6 +123,28 @@ class TestMeasureCommand:
         assert code == 0
         data = json.loads((tmp_path / "measure_1_2.json").read_text())
         assert data["mc_within_3_sigma"] is True
+
+    def test_mc_check_rows_match_experiment(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "measure", "--nu", "1", "--p", "2",
+                             "--n-r", "48", "--n-phi", "49", "--seed", "9",
+                             "--mc-check", "--out-dir", str(tmp_path))
+        assert code == 0
+        data = json.loads((tmp_path / "measure_1_2.json").read_text())
+        rep = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49, mc_check=True, seed=9)
+        assert data["mc_agreement"] == [r for r in rep.rows if "mc" in r]
+
+    @pytest.mark.parametrize("flags", [["--p", "3"], ["--p", "2", "--inner-arc"]])
+    def test_mc_check_refused_before_solving(self, capsys, tmp_path, monkeypatch, flags):
+        def no_solve(problem):
+            raise AssertionError("solved before the --mc-check checks")
+
+        monkeypatch.setattr(measure, "solve_measure", no_solve)
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "measure", "--nu", "1", *flags, "--mc-check",
+                               "--out-dir", str(out))
+        assert code == 2
+        assert "walk-on-spheres" in err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

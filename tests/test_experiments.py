@@ -3,13 +3,17 @@ import math
 
 import pytest
 
+from psector import experiments
+from psector.exponent import DomainError
 from psector.experiments import (
+    mc_agreement,
     run_exponent_table,
     run_growth_bounds,
     run_measure_experiment,
     run_phragmen_check,
     run_stream_consistency,
 )
+from psector.measure import MeasureProblem, solve_measure
 
 
 class TestExponentTable:
@@ -34,6 +38,24 @@ class TestMeasureExperiment:
                                      mc_check=True, seed=5, n_walks=20000)
         assert rep.passed, rep.first_failure()
         assert any("mc" in row for row in rep.rows)
+
+    def test_mc_probes_scale_with_R(self):
+        rows = {}
+        for R in (1.0, 2.0):
+            sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, R=R, n_r=48, n_phi=49))
+            rows[R], ok = mc_agreement(sol, n_walks=2000, seed=4)
+            assert ok
+        assert [r["probe_r"] for r in rows[2.0]] == [2.0 * r["probe_r"] for r in rows[1.0]]
+        for a, b in zip(rows[1.0], rows[2.0]):
+            assert b["solver"] == pytest.approx(a["solver"], rel=1e-9)
+
+    def test_mc_check_rejects_p_before_solving(self, monkeypatch):
+        def no_solve(problem):
+            raise AssertionError("solved before the p check")
+
+        monkeypatch.setattr(experiments, "solve_measure", no_solve)
+        with pytest.raises(DomainError, match="p = 2 only"):
+            run_measure_experiment(1.0, 3.0, n_r=48, n_phi=49, mc_check=True)
 
     def test_nonlinear_case(self):
         rep = run_measure_experiment(2.0, 3.0, n_r=96, n_phi=97, slope_tol=0.10)
@@ -72,8 +94,6 @@ class TestStreamConsistency:
         assert lam_check["passed"]
 
     def test_rejects_out_of_range(self):
-        from psector.exponent import DomainError
-
         with pytest.raises(DomainError):
             run_stream_consistency(1.0, 2.5)
 

@@ -9,12 +9,49 @@ import pytest
 from psector import _kernels
 
 
+SHAPES = [(40, 40), (35, 37), (33, 48), (48, 33)]
+
+
 def random_system(n, seed=0):
     rng = np.random.default_rng(seed)
     u = rng.random((n, n))
     u[0, :], u[-1, :], u[:, 0], u[:, -1] = 0.0, 1.0, 0.0, 0.0
     coef = [rng.random((n, n)) + 0.1 for _ in range(4)]
     return u, coef
+
+
+def symmetric_system(shape, seed=0):
+    """Random field and symmetric edge coefficients, as measure builds them."""
+    n_r, n_phi = shape
+    rng = np.random.default_rng(seed)
+    u = rng.random(shape)
+    u[0, :], u[-1, :], u[:, 0], u[:, -1] = 0.0, 1.0, 0.0, 0.0
+    aW, aE, aS, aN = (np.zeros(shape) for _ in range(4))
+    c_r = rng.random((n_r - 1, n_phi)) + 0.1
+    c_a = rng.random((n_r, n_phi - 1)) + 0.1
+    aE[:-1, :], aW[1:, :], aN[:, :-1], aS[:, 1:] = c_r, c_r, c_a, c_a
+    omega = 2.0 / (1.0 + math.sin(math.pi / max(shape)))
+    return u, (aW, aE, aS, aN), omega
+
+
+def reference_color(u, aW, aE, aS, aN, omega, color):
+    # the original masked half-sweep: the update for both colours, then a
+    # parity mask keeps one; the reference the strided kernels must match
+    n_r, n_phi = u.shape
+    nbr = aW[1:-1, 1:-1] * u[:-2, 1:-1] + aE[1:-1, 1:-1] * u[2:, 1:-1]
+    nbr += aS[1:-1, 1:-1] * u[1:-1, :-2] + aN[1:-1, 1:-1] * u[1:-1, 2:]
+    s = (aW[1:-1, 1:-1] + aE[1:-1, 1:-1]) + (aS[1:-1, 1:-1] + aN[1:-1, 1:-1])
+    ii, jj = np.indices((n_r - 2, n_phi - 2))
+    mask = ((ii + jj) & 1) == color
+    upd = u[1:-1, 1:-1] + omega * (nbr / s - u[1:-1, 1:-1])
+    u[1:-1, 1:-1] = np.where(mask, upd, u[1:-1, 1:-1])
+
+
+def reference_sweeps(u, coef, omega, n):
+    for _ in range(n):
+        reference_color(u, *coef, omega, 0)
+        reference_color(u, *coef, omega, 1)
+    return u
 
 
 @pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba unavailable")
@@ -36,8 +73,9 @@ def test_sweep_solves_laplace():
     u[-1, :] = 1.0
     ones = np.ones((n, n))
     omega = 2.0 / (1.0 + math.sin(math.pi / n))
+    system = _kernels.sor_system(ones, ones, ones, ones)
     for _ in range(400):
-        _kernels.sor_sweep(u, ones, ones, ones, ones, omega)
+        _kernels.sor_sweep(u, system, omega)
     # interior harmonic: each value is the mean of its 4 neighbors
     resid = np.abs(
         u[1:-1, 1:-1]
@@ -48,13 +86,38 @@ def test_sweep_solves_laplace():
 
 
 def test_dirichlet_rows_untouched():
-    u, coef = random_system(20, seed=3)
-    edges = (u[0, :].copy(), u[-1, :].copy(), u[:, 0].copy(), u[:, -1].copy())
-    _kernels.sor_sweep(u, *coef, 1.8)
-    assert np.array_equal(u[0, :], edges[0])
-    assert np.array_equal(u[-1, :], edges[1])
-    assert np.array_equal(u[:, 0], edges[2])
-    assert np.array_equal(u[:, -1], edges[3])
+    cases = [random_system(20, seed=3) + (1.8,)] + [symmetric_system(s) for s in SHAPES]
+    for u, coef, omega in cases:
+        edges = (u[0, :].copy(), u[-1, :].copy(), u[:, 0].copy(), u[:, -1].copy())
+        system = _kernels.sor_system(*coef)
+        for _ in range(50):
+            _kernels.sor_sweep(u, system, omega)
+        assert np.array_equal(u[0, :], edges[0])
+        assert np.array_equal(u[-1, :], edges[1])
+        assert np.array_equal(u[:, 0], edges[2])
+        assert np.array_equal(u[:, -1], edges[3])
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_half_sweeps_match_reference(shape):
+    u, coef, omega = symmetric_system(shape)
+    v = u.copy()
+    for _ in range(50):
+        for color in (0, 1):
+            _kernels._sor_color_py(v, *coef, omega, color)
+    ref = reference_sweeps(u, coef, omega, 50)
+    assert np.isfinite(ref).all()
+    assert np.array_equal(v, ref)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_system_built_once_matches_reference(shape):
+    u, coef, omega = symmetric_system(shape, seed=1)
+    v = u.copy()
+    system = _kernels.sor_system(*coef)
+    for _ in range(50):
+        _kernels.sor_sweep(v, system, omega)
+    assert np.array_equal(v, reference_sweeps(u, coef, omega, 50))
 
 
 def test_env_flag_selects_numpy_backend():

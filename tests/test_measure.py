@@ -75,6 +75,15 @@ class TestSolveMeasure:
         hist = harmonic_sol.energy_history
         assert abs(hist[-1] - hist[-2]) <= 1e-6 * abs(hist[-1])
 
+    def test_energy_is_the_stage_energy(self):
+        # a p = 3 solve starts with a p = 2 stage running the same cycles as
+        # the p = 2 solve, so its first energies are the p = 2 energies; at
+        # 48^2 that stage lasts at least 5 cycles (at 32^2 only 3 or 4)
+        for nu in (1.0, 2.0):
+            lin = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=48, n_phi=48))
+            cont = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=48, n_phi=48))
+            assert cont.energy_history[:5] == lin.energy_history[:5]
+
     def test_nonconvergence_reported_not_raised(self):
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=32, n_phi=32, max_iter=3))
         assert not sol.converged
