@@ -263,6 +263,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             uold = u.copy()
             for _ in range(pr.inner_sweeps):
                 _kernels.sor_sweep(u, system, omega)
+            # the next cycle packs its own system; holding this one while it
+            # does would keep two sets of packed coefficients alive
+            del system
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
             if p_stage != 2.0:
