@@ -1,9 +1,16 @@
-"""Hot numeric kernels: red-black SOR sweeps for the measure solver.
+"""Hot numeric kernels: red-black SOR sweeps, the multigrid smoother.
 
-The solver freezes the four edge coefficients for a whole Picard cycle, so
-the sweep is split in two: sor_system(aW, aE, aS, aN) prepares what stays
-fixed, once per cycle, and sor_sweep(u, system, omega) does one full
-red-black sweep against it.
+The measure solver freezes the four edge coefficients for a whole Picard
+cycle and solves the frozen system with multigrid-preconditioned conjugate
+gradients (see _multigrid), which smooths every level with these sweeps.  The
+sweep is split in two: sor_system(aW, aE, aS, aN) prepares what stays fixed,
+once per level and cycle, and sor_sweep(u, system, omega, rhs, colors) does
+one full red-black sweep against it, for the equations
+
+    s u[i, j] - (aW u[i-1, j] + aE u[i+1, j] + aS u[i, j-1] + aN u[i, j+1])
+        = rhs[i, j],    s = aW + aE + aS + aN,
+
+with rhs zero when omitted, relaxing the two colours in the given order.
 
 Two interchangeable implementations: a numba @njit version (default when
 numba imports) and a vectorized pure-numpy one.  Selection:
@@ -69,7 +76,7 @@ def _pack(shape, coef, color):
     return blocks
 
 
-def _relax(u, block, omega):
+def _relax(u, block, omega, rhs):
     # same-colour nodes do not couple, so one vectorized update of a block
     # equals the sequential one; grouping as in _sor_color_nb
     at_c, at_w, at_e, at_s, at_n, aW, aE, aS, aN, s = block
@@ -78,6 +85,8 @@ def _relax(u, block, omega):
     t = aS * u[at_s]
     t += aN * u[at_n]
     nbr += t
+    if rhs is not None:
+        nbr += rhs[at_c]
     nbr /= s
     uc = u[at_c]
     nbr -= uc
@@ -85,16 +94,16 @@ def _relax(u, block, omega):
     uc += nbr
 
 
-def _sor_color_py(u, aW, aE, aS, aN, omega, color):
+def _sor_color_py(u, aW, aE, aS, aN, omega, color, rhs=None):
     # one half-sweep over nodes with (i + j) parity == color, vectorized
     for block in _pack(u.shape, (aW, aE, aS, aN), color):
-        _relax(u, block, omega)
+        _relax(u, block, omega, rhs)
 
 
 if _HAVE_NUMBA:
 
     @njit(cache=True)
-    def _sor_color_nb(u, aW, aE, aS, aN, omega, color):  # pragma: no cover - jit
+    def _sor_color_nb(u, aW, aE, aS, aN, omega, color, rhs=None):  # pragma: no cover - jit
         n_r, n_phi = u.shape
         for i in range(1, n_r - 1):
             j0 = 1 + ((i + 1 + color) & 1)
@@ -104,34 +113,39 @@ if _HAVE_NUMBA:
                 nbr = (aW[i, j] * u[i - 1, j] + aE[i, j] * u[i + 1, j]) + (
                     aS[i, j] * u[i, j - 1] + aN[i, j] * u[i, j + 1]
                 )
+                if rhs is not None:
+                    nbr = nbr + rhs[i, j]
                 u[i, j] = u[i, j] + omega * (nbr / s - u[i, j])
 
     def sor_system(aW, aE, aS, aN):  # pragma: no cover - numba only
-        """The frozen coefficients of one Picard cycle, ready for sor_sweep."""
+        """The frozen coefficients of one level and cycle, ready for sor_sweep."""
         return aW, aE, aS, aN
 
-    def sor_sweep(u, system, omega) -> None:  # pragma: no cover - numba only
+    def sor_sweep(u, system, omega, rhs=None, colors=(0, 1)) -> None:  # pragma: no cover
         """One full red-black SOR sweep, in place; see the numpy variant."""
-        _sor_color_nb(u, *system, omega, 0)
-        _sor_color_nb(u, *system, omega, 1)
+        for color in colors:
+            _sor_color_nb(u, *system, omega, color, rhs)
 
 else:
 
     def sor_system(aW, aE, aS, aN):
-        """The frozen coefficients of one Picard cycle, ready for sor_sweep.
+        """The frozen coefficients of one level and cycle, ready for sor_sweep.
 
         The a-arrays are nonnegative edge coefficients toward the four
         neighbours, of the shape of the field to be swept.  Build the system
         again after changing them.
         """
         coef = (aW, aE, aS, aN)
-        return _pack(aW.shape, coef, 0) + _pack(aW.shape, coef, 1)
+        return _pack(aW.shape, coef, 0), _pack(aW.shape, coef, 1)
 
-    def sor_sweep(u, system, omega) -> None:
+    def sor_sweep(u, system, omega, rhs=None, colors=(0, 1)) -> None:
         """One full red-black SOR sweep, in place.
 
         Interior nodes only; rows/columns 0 and -1 hold Dirichlet data.
-        system comes from sor_system for arrays of u's shape.
+        system comes from sor_system for arrays of u's shape; rhs, if given,
+        is an array of u's shape.  colors is the order of the two
+        half-sweeps, (1, 0) being the adjoint of the default (0, 1).
         """
-        for block in system:
-            _relax(u, block, omega)
+        for color in colors:
+            for block in system[color]:
+                _relax(u, block, omega, rhs)

@@ -161,6 +161,7 @@ def cmd_measure(args) -> int:
     from .experiments import mc_agreement, require_mc_applicable
     from .measure import (
         INNER_ARC,
+        REGION_S2NU,
         MeasureProblem,
         comparability_constants,
         fit_slope,
@@ -182,7 +183,7 @@ def cmd_measure(args) -> int:
     k = radial_exponent(args.nu, args.p)
     window = (0.05 * args.R, 0.4 * args.R)
     fit = fit_slope(sol, 0.0, window)
-    lo, hi = comparability_constants(sol, k, "S_2nu")
+    lo, hi = comparability_constants(sol, k, REGION_S2NU, (0.02 * args.R, 0.9 * args.R))
     extra = {
         "k": k,
         "slope": fit.exponent,

@@ -5,15 +5,16 @@ energy on a polar grid over B(0, R) in the sector, with Dirichlet data 1 on
 the outer arc (or on the inner sub-arc variant), 0 on the radial sides and on
 a small truncation ring near the apex.  The iteration is lagged diffusivity:
 the nonlinear coefficient (|grad u|^2 + eps^2)^((p-2)/2) is frozen from the
-previous iterate and the linearized equation is relaxed by red-black SOR
-sweeps.  Robustness measures around the plain Picard loop, all no-ops in the
-benign cases: continuation in p from the linear problem (steps of at most 1,
-warm-started), a small SOR margin below the optimal relaxation factor for
-the p > 2 stages, and adaptive damping of the Picard step triggered by the
-two observed instability signatures (period-2 update flips at data-jump
-nodes, slow regrowth of the update norm at the arc).  The discrete energy of
-the stage being solved (its own p) is recorded per cycle as a convergence
-diagnostic.
+previous iterate and the linearized equation is solved, warm-started, by
+conjugate gradients preconditioned with one geometric-multigrid V-cycle per
+step (_multigrid), to CG_RTOL times the cycle's starting residual.
+Robustness measures around the plain Picard loop, all no-ops in the benign
+cases: continuation in p from the linear problem (steps of at most 1,
+warm-started) and adaptive damping of the Picard step triggered by the two
+observed instability signatures (period-2 update flips at data-jump nodes,
+slow regrowth of the update norm at the arc).  Each cycle records the
+discrete energy of the stage being solved (its own p), the stage p and the
+number of CG iterations, as convergence diagnostics.
 
 mc_harmonic_measure is an independent walk-on-spheres Monte Carlo oracle for
 the p = 2 case.  fit_slope extracts the radial decay exponent from a solved
@@ -28,13 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _multigrid
 from .exponent import DomainError
 
 FULL_ARC = "full_arc"
 INNER_ARC = "inner_arc"
 REGION_S2NU = "S_2nu"
 REGION_SNU = "S_nu"
+
+# relative residual at which a Picard cycle's CG solve stops; 1e-3 took the
+# same Picard cycles with about 40% more CG iterations
+CG_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,6 @@ class MeasureProblem:
     max_iter: int = 4000
     arc_target: str = FULL_ARC
     rmin_frac: float = 1e-3
-    inner_sweeps: int = 30
 
     def __post_init__(self):
         if not self.nu >= 0.5:
@@ -89,6 +93,10 @@ class MeasureSolution:
     final_update: float
     converged: bool
     energy_history: list = field(default_factory=list)
+    # per Picard cycle, parallel to energy_history: the stage p and the CG
+    # iterations of the cycle's inner solve
+    p_history: list = field(default_factory=list)
+    cg_history: list = field(default_factory=list)
 
     def ray_values(self, ray_angle: float) -> np.ndarray:
         """Field along a ray, linearly interpolated in phi between columns."""
@@ -227,22 +235,13 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     drc[-1] = r[-1] - rmid[-1]
     w_r = rmid[:, None] * hr[:, None] * dphi  # radial-edge quadrature weight
     w_a = r[:, None] * drc[:, None] * dphi  # angular-edge quadrature weight
-    omega_opt = 2.0 / (1.0 + math.sin(math.pi / max(pr.n_r, pr.n_phi)))
     eps2 = pr.eps_reg**2
-
-    aE = np.zeros_like(u)
-    aW = np.zeros_like(u)
-    aN = np.zeros_like(u)
-    aS = np.zeros_like(u)
-    history = []
+    history, p_history, cg_history = [], [], []
 
     def picard(p_stage: float, tol: float, budget: int):
         """Damped lagged-diffusivity cycles at one exponent; updates u."""
         nonlocal u
         pm2h = 0.5 * (p_stage - 2.0)
-        # near-optimal SOR for the stable stages; for p > 2 the composite
-        # sweep/coefficient-update map needs a margin below omega_opt
-        omega = omega_opt if p_stage <= 2.0 else 1.0 + 0.85 * (omega_opt - 1.0)
         tau = 1.0
         delta = math.inf
         best = math.inf
@@ -253,19 +252,17 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 0.5 * (np.sum(w_r * (g_r + eps2) ** (p_stage / 2.0))
                        + np.sum(w_a * (g_a + eps2) ** (p_stage / 2.0)))
             ))
-            cE = (g_r + eps2) ** pm2h * rmid[:, None] * dphi / hr[:, None]
-            cN = (g_a + eps2) ** pm2h * drc[:, None] / (r[:, None] * dphi)
-            aE[:-1, :] = cE
-            aW[1:, :] = cE
-            aN[:, :-1] = cN
-            aS[:, 1:] = cN
-            system = _kernels.sor_system(aW, aE, aS, aN)
+            levels = _multigrid.hierarchy(
+                (g_r + eps2) ** pm2h * rmid[:, None] * dphi / hr[:, None],
+                (g_a + eps2) ** pm2h * drc[:, None] / (r[:, None] * dphi),
+            )
+            del g_r, g_a  # not held through the solve: 1.5 MB of peak RSS at 256^2
             uold = u.copy()
-            for _ in range(pr.inner_sweeps):
-                _kernels.sor_sweep(u, system, omega)
-            # the next cycle packs its own system; holding this one while it
+            cg_history.append(_multigrid.pcg(u, levels, CG_RTOL))
+            p_history.append(p_stage)
+            # the next cycle builds its own levels; holding these while it
             # does would keep two sets of packed coefficients alive
-            del system
+            del levels
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
             if p_stage != 2.0:
@@ -274,8 +271,8 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 # slow eruptions (update norm regrows past its best)
                 flip = 0.0
                 if du_prev is not None:
-                    nn = float(np.linalg.norm(du)) * float(np.linalg.norm(du_prev))
-                    flip = float(np.sum(du * du_prev)) / nn if nn > 0.0 else 0.0
+                    nn = math.sqrt(_multigrid.dot(du, du) * _multigrid.dot(du_prev, du_prev))
+                    flip = _multigrid.dot(du, du_prev) / nn if nn > 0.0 else 0.0
                 delta_full = float(np.max(np.abs(du)))
                 if flip < -0.3 or delta_full > 2.0 * best:
                     tau = max(0.5 * tau, 0.05)
@@ -325,6 +322,8 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         final_update=delta,
         converged=converged,
         energy_history=history,
+        p_history=p_history,
+        cg_history=cg_history,
     )
 
 

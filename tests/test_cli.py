@@ -133,6 +133,22 @@ class TestMeasureCommand:
         rep = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49, mc_check=True, seed=9)
         assert data["mc_agreement"] == [r for r in rep.rows if "mc" in r]
 
+    def test_certificate_window_scales_with_R(self, capsys, tmp_path, monkeypatch):
+        solve, solved = measure.solve_measure, []
+
+        def solve_and_keep(problem):
+            solved.append(solve(problem))
+            return solved[-1]
+
+        monkeypatch.setattr(measure, "solve_measure", solve_and_keep)
+        code, _, _ = run_cli(capsys, "measure", "--nu", "1", "--p", "2", "--R", "2",
+                             "--n-r", "48", "--n-phi", "49", "--out-dir", str(tmp_path))
+        assert code == 0
+        data = json.loads((tmp_path / "measure_1_2.json").read_text())
+        lo, hi = measure.comparability_constants(solved[0], data["k"], measure.REGION_S2NU,
+                                                 (0.04, 1.8))
+        assert (data["ratio_min"], data["ratio_max"]) == (lo, hi)
+
     @pytest.mark.parametrize("flags", [["--p", "3"], ["--p", "2", "--inner-arc"]])
     def test_mc_check_refused_before_solving(self, capsys, tmp_path, monkeypatch, flags):
         def no_solve(problem):

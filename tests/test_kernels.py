@@ -34,12 +34,14 @@ def symmetric_system(shape, seed=0):
     return u, (aW, aE, aS, aN), omega
 
 
-def reference_color(u, aW, aE, aS, aN, omega, color):
+def reference_color(u, aW, aE, aS, aN, omega, color, rhs=None):
     # the original masked half-sweep: the update for both colours, then a
     # parity mask keeps one; the reference the strided kernels must match
     n_r, n_phi = u.shape
     nbr = aW[1:-1, 1:-1] * u[:-2, 1:-1] + aE[1:-1, 1:-1] * u[2:, 1:-1]
     nbr += aS[1:-1, 1:-1] * u[1:-1, :-2] + aN[1:-1, 1:-1] * u[1:-1, 2:]
+    if rhs is not None:
+        nbr += rhs[1:-1, 1:-1]
     s = (aW[1:-1, 1:-1] + aE[1:-1, 1:-1]) + (aS[1:-1, 1:-1] + aN[1:-1, 1:-1])
     ii, jj = np.indices((n_r - 2, n_phi - 2))
     mask = ((ii + jj) & 1) == color
@@ -47,22 +49,25 @@ def reference_color(u, aW, aE, aS, aN, omega, color):
     u[1:-1, 1:-1] = np.where(mask, upd, u[1:-1, 1:-1])
 
 
-def reference_sweeps(u, coef, omega, n):
+def reference_sweeps(u, coef, omega, n, rhs=None, colors=(0, 1)):
     for _ in range(n):
-        reference_color(u, *coef, omega, 0)
-        reference_color(u, *coef, omega, 1)
+        for color in colors:
+            reference_color(u, *coef, omega, color, rhs)
     return u
 
 
 @pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba unavailable")
-def test_paths_agree_bitwise():
+@pytest.mark.parametrize("colors", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("with_rhs", [False, True])
+def test_paths_agree_bitwise(with_rhs, colors):
     u, coef = random_system(40)
+    rhs = np.random.default_rng(5).random(u.shape) if with_rhs else None
     v = u.copy()
     omega = 1.9
     for _ in range(25):
-        for color in (0, 1):
-            _kernels._sor_color_py(u, *coef, omega, color)
-            _kernels._sor_color_nb(v, *coef, omega, color)
+        for color in colors:
+            _kernels._sor_color_py(u, *coef, omega, color, rhs)
+            _kernels._sor_color_nb(v, *coef, omega, color, rhs)
     assert np.array_equal(u, v)
 
 
@@ -118,6 +123,20 @@ def test_system_built_once_matches_reference(shape):
     for _ in range(50):
         _kernels.sor_sweep(v, system, omega)
     assert np.array_equal(v, reference_sweeps(u, coef, omega, 50))
+
+
+@pytest.mark.parametrize("colors", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_sweep_with_rhs_matches_reference(shape, colors):
+    u, coef, omega = symmetric_system(shape, seed=2)
+    rhs = np.random.default_rng(3).standard_normal(shape)
+    v = u.copy()
+    system = _kernels.sor_system(*coef)
+    for _ in range(50):
+        _kernels.sor_sweep(v, system, omega, rhs, colors)
+    ref = reference_sweeps(u, coef, omega, 50, rhs, colors)
+    assert np.isfinite(ref).all()
+    assert np.array_equal(v, ref)
 
 
 def test_env_flag_selects_numpy_backend():

@@ -77,12 +77,16 @@ class TestSolveMeasure:
 
     def test_energy_is_the_stage_energy(self):
         # a p = 3 solve starts with a p = 2 stage running the same cycles as
-        # the p = 2 solve, so its first energies are the p = 2 energies; at
-        # 48^2 that stage lasts at least 5 cycles (at 32^2 only 3 or 4)
+        # the p = 2 solve, so the energies it tags p = 2 are the p = 2
+        # energies, and the first p = 3 cycle records the p = 3 energy
         for nu in (1.0, 2.0):
             lin = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=48, n_phi=48))
             cont = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=48, n_phi=48))
-            assert cont.energy_history[:5] == lin.energy_history[:5]
+            assert len(cont.p_history) == len(cont.energy_history) == cont.iterations
+            first = cont.p_history.index(3.0)
+            assert first > 0 and set(cont.p_history[:first]) == {2.0}
+            assert cont.energy_history[:first] == lin.energy_history[:first]
+            assert cont.energy_history[first] != lin.energy_history[first]
 
     def test_nonconvergence_reported_not_raised(self):
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=32, n_phi=32, max_iter=3))
