@@ -97,6 +97,9 @@ class MeasureSolution:
     # iterations of the cycle's inner solve
     p_history: list = field(default_factory=list)
     cg_history: list = field(default_factory=list)
+    # cycles whose CG solve ran all _multigrid.MAX_CG iterations, which is
+    # where pcg stops when it does not reach CG_RTOL
+    cg_capped: int = 0
 
     def ray_values(self, ray_angle: float) -> np.ndarray:
         """Field along a ray, linearly interpolated in phi between columns."""
@@ -110,22 +113,24 @@ class MeasureSolution:
         return (1.0 - t) * self.omega[:, j - 1] + t * self.omega[:, j]
 
     def to_csv(self, path) -> None:
-        """r, phi, omega triples with '#' header comments."""
+        """r, phi, omega triples with '#' header comments, one row per node.
+
+        The reprs of r and phi are formatted once per grid line and each
+        radius's rows are written as they are formatted, so no whole-file
+        string is built; every value is the repr of a Python float.
+        """
         pr = self.problem
-        lines = [
-            f"# nu = {pr.nu!r}",
-            f"# p = {pr.p!r}",
-            f"# R = {pr.R!r}",
-            f"# arc_target = {pr.arc_target}",
-            "r,phi,omega",
-        ]
-        for i in range(len(self.r)):
-            for j in range(len(self.phi)):
-                lines.append(
-                    f"{float(self.r[i])!r},{float(self.phi[j])!r},{float(self.omega[i, j])!r}"
-                )
+        phis = [repr(v) for v in self.phi.tolist()]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(
+                f"# nu = {pr.nu!r}\n# p = {pr.p!r}\n# R = {pr.R!r}\n"
+                f"# arc_target = {pr.arc_target}\nr,phi,omega\n"
+            )
+            for rv, row in zip(self.r.tolist(), self.omega.tolist()):
+                head = repr(rv) + ","
+                fh.write("".join(
+                    f"{head}{ph},{om!r}\n" for ph, om in zip(phis, row)
+                ))
 
     def summary(self) -> dict:
         pr = self.problem
@@ -141,6 +146,8 @@ class MeasureSolution:
             "iterations": self.iterations,
             "final_update": self.final_update,
             "converged": self.converged,
+            "cg_iterations_max": max(self.cg_history, default=0),
+            "cg_capped": self.cg_capped,
         }
 
 
@@ -324,6 +331,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         energy_history=history,
         p_history=p_history,
         cg_history=cg_history,
+        cg_capped=sum(its >= _multigrid.MAX_CG for its in cg_history),
     )
 
 
@@ -391,17 +399,19 @@ def comparability_constants(solution: MeasureSolution, k: float,
     return float(ratio.min()), float(ratio.max())
 
 
-def _sector_distance(x, y, alpha, R):
-    """Distance to the boundary of B(0,R) in the sector, plus side distances."""
-    r = np.hypot(x, y)
-    ang = np.arctan2(y, x)
-    d_arc = R - r
-    dp = alpha - ang  # angular gap to the +alpha side
-    dm = ang + alpha
-    d1 = np.where(dp <= math.pi / 2.0, r * np.sin(dp), r)
-    d2 = np.where(dm <= math.pi / 2.0, r * np.sin(dm), r)
-    d_side = np.minimum(d1, d2)
-    return np.minimum(d_arc, d_side), d_arc, d_side
+def _side_distance(x, y, r, c, s):
+    """Distance from interior points (x, y), |(x, y)| = r, to the nearer of
+    the two side rays at angles +-alpha, given c = cos(alpha), s = sin(alpha).
+
+    A point whose projection onto a side's direction is negative is nearest to
+    that side at the apex, at distance r.  The abs matters for alpha > 3 pi / 4: beyond the
+    far side the cross product changes sign while the projection stays
+    positive."""
+    xc, ys = x * c, y * s
+    xs, yc = x * s, y * c
+    d_plus = np.where(xc + ys >= 0.0, np.abs(xs - yc), r)
+    d_minus = np.where(xc - ys >= 0.0, np.abs(xs + yc), r)
+    return np.minimum(d_plus, d_minus)
 
 
 def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
@@ -413,10 +423,19 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
     domain, absorbing within a shell*R boundary layer.  Returns a list of
     (estimate, stderr); stderr is the binomial standard error.  Deterministic
     for a fixed seed.
+
+    Only the live walkers are kept: each step drops the absorbed ones by one
+    order-preserving compaction and counts the arc hits among them, so the
+    step's uniform angles, one per live walker, reach the same walkers in the
+    same order as when every walker keeps its slot; the random stream, and
+    hence the estimate, does not depend on the compaction.  The distances to
+    the sides come from the sides' unit vectors, computed once, rather than
+    from each walker's polar angle.
     """
     if not nu >= 0.5:
         raise DomainError(f"nu must be >= 0.5, got {nu}")
     alpha = math.pi / (2.0 * nu)
+    c, s = math.cos(alpha), math.sin(alpha)
     rng = np.random.default_rng(seed)
     out = []
     for pt in points:
@@ -425,25 +444,23 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
             raise DomainError(f"start point ({r0}, {phi0}) is not interior")
         x = np.full(n_walks, r0 * math.cos(phi0))
         y = np.full(n_walks, r0 * math.sin(phi0))
-        alive = np.arange(n_walks)
-        hit = np.zeros(n_walks, dtype=bool)
+        hits = 0
         for _ in range(max_steps):
-            if alive.size == 0:
-                break
-            xa, ya = x[alive], y[alive]
-            d, d_arc, d_side = _sector_distance(xa, ya, alpha, R)
+            r = np.sqrt(x * x + y * y)
+            d_arc = R - r
+            d_side = _side_distance(x, y, r, c, s)
+            d = np.minimum(d_arc, d_side)
             done = d < shell * R
             if done.any():
-                absorbed = alive[done]
-                hit[absorbed] = d_arc[done] <= d_side[done]
-                alive = alive[~done]
-                xa, ya, d = xa[~done], ya[~done], d[~done]
-            if alive.size == 0:
+                hits += int(np.count_nonzero(d_arc[done] <= d_side[done]))
+                live = ~done
+                x, y, d = x[live], y[live], d[live]
+            if x.size == 0:
                 break
-            ang = rng.random(alive.size) * (2.0 * math.pi)
-            x[alive] = xa + d * np.cos(ang)
-            y[alive] = ya + d * np.sin(ang)
-        est = float(hit.mean())
+            ang = rng.random(x.size) * (2.0 * math.pi)
+            x += d * np.cos(ang)
+            y += d * np.sin(ang)
+        est = hits / n_walks
         stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / n_walks)
         out.append((est, stderr))
     return out

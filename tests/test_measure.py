@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from psector import _multigrid
 from psector.exponent import DomainError
 from psector.measure import (
     FULL_ARC,
@@ -12,6 +13,7 @@ from psector.measure import (
     REGION_SNU,
     MeasureProblem,
     MeasureSolution,
+    _side_distance,
     comparability_constants,
     fit_slope,
     mc_harmonic_measure,
@@ -28,6 +30,72 @@ def exact_half_disk(r, phi=0.0, nu=1.0, terms=400):
         n = 2 * m + 1
         s += 4.0 / (n * math.pi) * (-1) ** m * r ** (n * nu) * math.cos(n * nu * phi)
     return s
+
+
+def reference_sector_distance(x, y, alpha, R):
+    # the original distance, through the polar angle and two sines
+    r = np.hypot(x, y)
+    ang = np.arctan2(y, x)
+    d_arc = R - r
+    dp = alpha - ang  # angular gap to the +alpha side
+    dm = ang + alpha
+    d1 = np.where(dp <= math.pi / 2.0, r * np.sin(dp), r)
+    d2 = np.where(dm <= math.pi / 2.0, r * np.sin(dm), r)
+    d_side = np.minimum(d1, d2)
+    return np.minimum(d_arc, d_side), d_arc, d_side
+
+
+def reference_mc(nu, R, points, n_walks, seed, shell=1e-5, max_steps=100000):
+    # the original walk-on-spheres loop: every walker keeps its slot, the
+    # live ones are gathered and scattered back by index each step; the
+    # reference the compacting oracle must match estimate for estimate
+    alpha = math.pi / (2.0 * nu)
+    rng = np.random.default_rng(seed)
+    out = []
+    for r0, phi0 in points:
+        x = np.full(n_walks, r0 * math.cos(phi0))
+        y = np.full(n_walks, r0 * math.sin(phi0))
+        alive = np.arange(n_walks)
+        hit = np.zeros(n_walks, dtype=bool)
+        for _ in range(max_steps):
+            if alive.size == 0:
+                break
+            xa, ya = x[alive], y[alive]
+            d, d_arc, d_side = reference_sector_distance(xa, ya, alpha, R)
+            done = d < shell * R
+            if done.any():
+                absorbed = alive[done]
+                hit[absorbed] = d_arc[done] <= d_side[done]
+                alive = alive[~done]
+                xa, ya, d = xa[~done], ya[~done], d[~done]
+            if alive.size == 0:
+                break
+            ang = rng.random(alive.size) * (2.0 * math.pi)
+            x[alive] = xa + d * np.cos(ang)
+            y[alive] = ya + d * np.sin(ang)
+        est = float(hit.mean())
+        stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / n_walks)
+        out.append((est, stderr))
+    return out
+
+
+def reference_to_csv(sol, path):
+    # the original writer: one formatted line per node, joined, written once
+    pr = sol.problem
+    lines = [
+        f"# nu = {pr.nu!r}",
+        f"# p = {pr.p!r}",
+        f"# R = {pr.R!r}",
+        f"# arc_target = {pr.arc_target}",
+        "r,phi,omega",
+    ]
+    for i in range(len(sol.r)):
+        for j in range(len(sol.phi)):
+            lines.append(
+                f"{float(sol.r[i])!r},{float(sol.phi[j])!r},{float(sol.omega[i, j])!r}"
+            )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +155,19 @@ class TestSolveMeasure:
             assert first > 0 and set(cont.p_history[:first]) == {2.0}
             assert cont.energy_history[:first] == lin.energy_history[:first]
             assert cont.energy_history[first] != lin.energy_history[first]
+
+    def test_capped_cg_is_reported(self, monkeypatch):
+        sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=64, n_phi=64))
+        assert sol.cg_capped == 0
+        summary = sol.summary()
+        assert summary["cg_capped"] == 0
+        assert summary["cg_iterations_max"] == max(sol.cg_history) > 0
+        monkeypatch.setattr(_multigrid, "MAX_CG", 1)
+        starved = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=32, n_phi=32))
+        assert starved.cg_capped > 0
+        assert starved.cg_capped == starved.cg_history.count(1)
+        assert starved.summary()["cg_capped"] == starved.cg_capped
+        assert starved.summary()["cg_iterations_max"] == 1
 
     def test_nonconvergence_reported_not_raised(self):
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=32, n_phi=32, max_iter=3))
@@ -229,11 +310,43 @@ class TestWalkOnSpheres:
         with pytest.raises(DomainError):
             mc_harmonic_measure(1.0, 1.0, [(1.5, 0.0)], 100, seed=0)
 
+    @pytest.mark.parametrize("nu", [0.5, 0.6, 0.75, 1.0, 2.0, 5.0])
+    def test_matches_reference_oracle(self, nu):
+        alpha = math.pi / (2.0 * nu)
+        pts = [(0.5, 0.0), (0.3, 0.95 * alpha), (0.8, -0.95 * alpha)]
+        for seed in (0, 1, 7, 11):
+            assert (mc_harmonic_measure(nu, 1.0, pts, 20000, seed)
+                    == reference_mc(nu, 1.0, pts, 20000, seed))
+
+    @pytest.mark.parametrize("nu", [0.5, 0.55, 0.6, 0.75, 1.0, 2.0, 5.0])
+    def test_side_distance_matches_reference(self, nu):
+        alpha = math.pi / (2.0 * nu)
+        rng = np.random.default_rng(int(100 * nu))
+        r = rng.uniform(1e-4, 1.0, 10000)
+        ang = rng.uniform(-alpha, alpha, 10000)
+        x, y = r * np.cos(ang), r * np.sin(ang)
+        _, _, want = reference_sector_distance(x, y, alpha, 1.0)
+        got = _side_distance(x, y, np.sqrt(x * x + y * y),
+                             math.cos(alpha), math.sin(alpha))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_accepts_polar_points(self):
         from psector.profile import PolarPoint
 
         out = mc_harmonic_measure(1.0, 1.0, [PolarPoint(0.5, 0.0)], 2000, seed=3)
         assert 0.0 < out[0][0] < 1.0
+
+
+class TestFieldCsv:
+    @pytest.mark.parametrize("problem", [
+        MeasureProblem(nu=1.0, p=2.0, R=2.5, n_r=17, n_phi=23, arc_target=INNER_ARC),
+        MeasureProblem(nu=2.0, p=3.0, n_r=24, n_phi=19, radial_spacing="uniform"),
+    ])
+    def test_bytes_match_reference_writer(self, tmp_path, problem):
+        sol = solve_measure(problem)
+        sol.to_csv(tmp_path / "new.csv")
+        reference_to_csv(sol, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestExports:
