@@ -17,9 +17,9 @@ three fine rows around a coarse row are summed with weights (1/2, 1, 1/2).
 The transfers are linear interpolation and its transpose, and the coarsest
 level, at most COARSEST nodes per side, is solved with a dense inverse.
 Every level but the coarsest is smoothed by one red-black Gauss-Seidel sweep
-(_kernels.sor_sweep, omega = 1) before the coarse correction and one in the
-reverse colour order after it, so the V-cycle is a symmetric positive
-definite preconditioner.
+(_kernels.sor_sweep) before the coarse correction and one in the reverse
+colour order after it, so the V-cycle is a symmetric positive definite
+preconditioner.
 
 Inner products are numpy einsum reductions: np.dot and np.linalg.norm go
 through BLAS, whose thread pool costs milliseconds per call on a busy
@@ -166,7 +166,7 @@ def vcycle(levels, f, depth=0):
         x[1:-1, 1:-1] = (level.inverse * f[1:-1, 1:-1].ravel()).sum(axis=1).reshape(
             f.shape[0] - 2, f.shape[1] - 2)
         return x
-    _kernels.sor_sweep(x, level.system, 1.0, f, (0, 1))
+    _kernels.sor_sweep(x, level.system, f, (0, 1))
     res = apply(level, x)
     np.subtract(f, res, out=res)
     n_r, n_phi = f.shape
@@ -181,7 +181,7 @@ def vcycle(levels, f, depth=0):
     if coarse[0] < n_r:
         xc = _prolong(xc, 0, n_r)
     x += xc
-    _kernels.sor_sweep(x, level.system, 1.0, f, (1, 0))
+    _kernels.sor_sweep(x, level.system, f, (1, 0))
     return x
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _multigrid
-from .exponent import DomainError
+from .exponent import DomainError, _as_nu
 
 FULL_ARC = "full_arc"
 INNER_ARC = "inner_arc"
@@ -63,8 +63,7 @@ class MeasureProblem:
     rmin_frac: float = 1e-3
 
     def __post_init__(self):
-        if not self.nu >= 0.5:
-            raise DomainError(f"nu must be >= 0.5, got {self.nu}")
+        _as_nu(self.nu)
         if not (1.0 < self.p < math.inf):
             raise DomainError(f"measure solver requires finite p > 1, got {self.p}")
         if self.R <= 0:
@@ -432,8 +431,7 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
     the sides come from the sides' unit vectors, computed once, rather than
     from each walker's polar angle.
     """
-    if not nu >= 0.5:
-        raise DomainError(f"nu must be >= 0.5, got {nu}")
+    nu = _as_nu(nu)
     alpha = math.pi / (2.0 * nu)
     c, s = math.cos(alpha), math.sin(alpha)
     rng = np.random.default_rng(seed)

@@ -24,6 +24,8 @@ import numpy as np
 
 from .exponent import (
     DomainError,
+    _as_nu,
+    _as_p,
     conjugate_exponent,
     radial_exponent,
 )
@@ -123,14 +125,6 @@ def phi_of_theta(theta: float, amap: AngleMap) -> float:
     t = math.tan(0.5 * theta)
     arcsum = math.atan(amap.lam * t) + math.atan(t / amap.lam)
     return theta - (1.0 - 1.0 / amap.k) * math.sqrt(ak) / math.sqrt(ak - 1.0) * arcsum
-
-
-def dphi_dtheta(theta: float, amap: AngleMap) -> float:
-    """Slope of the angle map: (a - cos^2 theta)/(ak - cos^2 theta)."""
-    c2 = math.cos(theta) ** 2
-    if amap.degenerate:
-        return 1.0
-    return (amap.a - c2) / (amap.ak - c2)
 
 
 def theta_of_phi(phi: float, amap: AngleMap) -> float:
@@ -343,12 +337,8 @@ def build_profile(sector, p, n_samples: int = 129) -> AngularProfile:
     nu < 1); p in (1, 2) stream conjugation of the p/(p-1) profile on the
     extended domain, rotated by the half-aperture and renormalized.
     """
-    nu = sector.nu if hasattr(sector, "nu") else float(sector)
-    if not nu >= 0.5:
-        raise DomainError(f"nu must be >= 0.5, got {nu}")
-    p = float(p)
-    if not (p == math.inf or p > 1.0):
-        raise DomainError(f"p must be finite > 1 or inf, got {p}")
+    nu = _as_nu(sector)
+    p = _as_p(p)
     if n_samples < 16:
         raise DomainError(f"n_samples must be >= 16, got {n_samples}")
     if n_samples % 2 == 0:
@@ -446,16 +436,6 @@ def _band_outer(phi, fp, alpha):
     if not mask.any():
         return 0.0
     return float(np.min(np.abs(fp[mask])))
-
-
-def eval_f(phi: float, prof: AngularProfile) -> float:
-    """Profile value f(phi) through the exact construction-backed evaluator."""
-    return prof.f_exact(phi)
-
-
-def eval_fprime(phi: float, prof: AngularProfile) -> float:
-    """Profile derivative f'(phi) through the exact evaluator."""
-    return prof.fprime_exact(phi)
 
 
 def eval_u(point: PolarPoint, prof: AngularProfile) -> float:

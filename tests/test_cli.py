@@ -180,6 +180,17 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "phragmen", "--out-dir", str(tmp_path))
         assert code == 0
 
+    def test_all_quick_writes_one_json_per_report(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "verify", "all", "--quick",
+                               "--out-dir", str(tmp_path))
+        assert code == 0
+        ids = [line.split("] ", 1)[1] for line in out.splitlines()
+               if line.startswith("[PASS] ")]
+        assert len(ids) == len(out.splitlines()) > 0
+        # run_suites names report i's files <experiment_id>_<ii>
+        want = {f"{rid}_{i:02d}.json" for i, rid in enumerate(ids)}
+        assert want == {f.name for f in tmp_path.glob("*.json")}
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, capsys, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from psector import _multigrid
-from psector.exponent import DomainError
+from psector.exponent import DomainError, SectorSpec
 from psector.measure import (
     FULL_ARC,
     INNER_ARC,
@@ -177,6 +177,8 @@ class TestSolveMeasure:
     def test_problem_validation(self):
         with pytest.raises(DomainError):
             MeasureProblem(nu=0.4, p=2.0)
+        with pytest.raises(DomainError, match="got nan"):
+            MeasureProblem(nu=math.nan, p=2.0)
         with pytest.raises(DomainError):
             MeasureProblem(nu=1.0, p=math.inf)
         with pytest.raises(DomainError):
@@ -309,6 +311,10 @@ class TestWalkOnSpheres:
     def test_rejects_exterior_start(self):
         with pytest.raises(DomainError):
             mc_harmonic_measure(1.0, 1.0, [(1.5, 0.0)], 100, seed=0)
+        with pytest.raises(DomainError, match="nu must be >= 0.5, got 0.4"):
+            mc_harmonic_measure(0.4, 1.0, [(0.5, 0.0)], 100, seed=0)
+        with pytest.raises(DomainError, match="nu must be >= 0.5, got nan"):
+            mc_harmonic_measure(math.nan, 1.0, [(0.5, 0.0)], 100, seed=0)
 
     @pytest.mark.parametrize("nu", [0.5, 0.6, 0.75, 1.0, 2.0, 5.0])
     def test_matches_reference_oracle(self, nu):
@@ -335,6 +341,7 @@ class TestWalkOnSpheres:
 
         out = mc_harmonic_measure(1.0, 1.0, [PolarPoint(0.5, 0.0)], 2000, seed=3)
         assert 0.0 < out[0][0] < 1.0
+        assert mc_harmonic_measure(SectorSpec(1.0), 1.0, [(0.5, 0.0)], 2000, seed=3) == out
 
 
 class TestFieldCsv:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psector.exponent import DomainError, radial_exponent
+from psector.exponent import DomainError, SectorSpec, radial_exponent
 from psector.profile import (
     CASE_GT2,
     CASE_INF,
@@ -179,12 +179,20 @@ class TestBuildProfile:
             assert np.max(np.diff(prof.f[i0:])) <= 1e-12  # nonincreasing
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="nu must be >= 0.5, got 0.4"):
             build_profile(0.4, 3.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="nu must be >= 0.5, got nan"):
+            build_profile(math.nan, 3.0)
+        with pytest.raises(DomainError, match="p must be finite > 1 or inf, got 1.0"):
             build_profile(1.0, 1.0)
+        with pytest.raises(DomainError, match="p must be finite > 1 or inf, got nan"):
+            build_profile(1.0, math.nan)
         with pytest.raises(DomainError):
             build_profile(1.0, 3.0, 8)
+
+    def test_accepts_sector_spec(self):
+        prof = build_profile(SectorSpec(2.0), 3.0, 65)
+        assert np.array_equal(prof.f, build_profile(2.0, 3.0, 65).f)
 
     def test_p_near_2_uses_closed_form(self):
         prof = build_profile(1.5, 2.0 + 1e-9, 65)
