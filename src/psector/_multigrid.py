@@ -10,10 +10,17 @@ cE[i, j] couples nodes (i, j) and (i + 1, j), cN[i, j] nodes (i, j) and
 (i, j + 1).  hierarchy(cE, cN) builds the levels once per cycle and pcg(u,
 levels, rtol) solves in place, warm-started from u.
 
-Each coarser level halves every axis with more than COARSEST nodes, keeping
-the even-index nodes and the last one, and stays a 5-point operator: along a
-coarsened axis two fine edges combine in series, across it the edges of the
-three fine rows around a coarse row are summed with weights (1/2, 1, 1/2).
+Each coarser level halves an axis, keeping the even-index nodes and the last
+one, and stays a 5-point operator: along a coarsened axis two fine edges
+combine in series, across it the edges of the three fine rows around a coarse
+row are summed with weights (1/2, 1, 1/2).  Which axes a level halves is
+chosen from its own coefficients (semicoarsening): only phi when the mean
+angular coupling is at least ANISOTROPY times the mean radial one, only r in
+the mirror case, both otherwise, and in every case only an axis with more
+than COARSEST nodes.  The polar grid's angular couplings outweigh the radial
+ones by a factor growing as nu^2, an anisotropy that a point smoother cannot
+damp under full coarsening; a few semicoarsened levels bring it back to order
+one.
 The transfers are linear interpolation and its transpose, and the coarsest
 level, at most COARSEST nodes per side, is solved with a dense inverse.
 Every level but the coarsest is smoothed by one red-black Gauss-Seidel sweep
@@ -35,7 +42,12 @@ import numpy as np
 from . import _kernels
 
 COARSEST = 12  # nodes per side at which an axis is no longer coarsened
-MAX_CG = 200  # a cap far above the 5-10 iterations a Picard cycle takes
+# a level halves only its strongly coupled axis when the mean coupling along
+# it is at least this many times the other's: point Gauss-Seidel smooths the
+# error only along the strong axis.  Halving one axis divides the ratio by 4,
+# so 2 is where that lands as far from isotropy (ratio 1/2) as it started
+ANISOTROPY = 2.0
+MAX_CG = 200  # far above the 3-5 iterations of a logarithmic-grid Picard cycle
 
 
 class Level(NamedTuple):
@@ -131,6 +143,9 @@ def hierarchy(cE, cN) -> list:
     while True:
         n_r, n_phi = cN.shape[0], cE.shape[1]
         coarsen_r, coarsen_phi = n_r > COARSEST, n_phi > COARSEST
+        if coarsen_r and coarsen_phi:
+            e, n = cE.mean(), cN.mean()
+            coarsen_r, coarsen_phi = n < ANISOTROPY * e, e < ANISOTROPY * n
         levels.append(_level(cE, cN, not (coarsen_r or coarsen_phi)))
         if levels[-1].inverse is not None:
             return levels

@@ -59,18 +59,27 @@ class CliConfig:
     @classmethod
     def from_file(cls, path) -> "CliConfig":
         cfg = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, val = line.partition("=")
-                key, val = key.strip(), val.strip().strip("\"'")
-                if not sep:
-                    raise DomainError(f"{path}:{lineno}: expected key = value")
-                if key not in _CONFIG_KEYS:
-                    raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-                setattr(cfg, key, _CONFIG_KEYS[key](val))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise DomainError(f"{path}: cannot read config file: {exc.strerror}") from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, val = line.partition("=")
+            key, val = key.strip(), val.strip().strip("\"'")
+            if not sep:
+                raise DomainError(f"{path}:{lineno}: expected key = value")
+            if key not in _CONFIG_KEYS:
+                raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+            kind = _CONFIG_KEYS[key]
+            try:
+                setattr(cfg, key, kind(val))
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
+                                  f"got {val!r}") from None
         return cfg
 
     def apply_args(self, args) -> "CliConfig":

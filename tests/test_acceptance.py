@@ -28,6 +28,7 @@ from psector.measure import (
 )
 from psector.pde import polar_residual_report, separation_report
 from psector.profile import build_profile, phi_of_theta, theta_of_phi
+from psector.verify import MEASURE_CASES
 
 NU_GRID = [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0]
 P_GRID = [1.1, 1.5, 2.0, 3.0, 4.0, 10.0, 100.0]
@@ -181,18 +182,9 @@ def test_criterion_6_stream_consistency():
               f"duality <= 1e-7, kappa window strict ({dt:.1f} s)")
 
 
-SLOPE_CASES = [
-    (1.0, 2.0, 0.05),
-    (2.0, 2.0, 0.05),
-    (1.0, 4.0, 0.10),
-    (2.0, 3.0, 0.10),
-    (1.0, 1.5, 0.10),
-]
-
-
 def test_criterion_7_measure_slopes():
     details = []
-    for nu, p, tol in SLOPE_CASES:
+    for nu, p, tol in MEASURE_CASES:
         sol, dt = solved(nu, p)
         assert sol.converged
         assert dt < 60.0, (nu, p, dt)

@@ -201,6 +201,21 @@ class TestConfig:
         assert code == 2
         assert "unknown config key" in err
 
+    def test_bad_value_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_phi = 64\nn_r = abc\n")
+        code, _, err = run_cli(capsys, "measure", "--nu", "1", "--p", "2",
+                               "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert f"{cfg}:2: n_r must be int, got 'abc'" in err
+
+    def test_missing_file_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "absent.cfg"
+        code, _, err = run_cli(capsys, "measure", "--nu", "1", "--p", "2",
+                               "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert f"{cfg}: cannot read config file" in err
+
     def test_flag_overrides_file(self, capsys, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("samples = 33\n")

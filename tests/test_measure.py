@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -168,6 +169,16 @@ class TestSolveMeasure:
         assert starved.cg_capped == starved.cg_history.count(1)
         assert starved.summary()["cg_capped"] == starved.cg_capped
         assert starved.summary()["cg_iterations_max"] == 1
+
+    def test_summary_describes_the_problem(self):
+        pr = MeasureProblem(nu=2.0, p=3.0, R=1.5, n_r=24, n_phi=25, radial_spacing="uniform",
+                            eps_reg=1e-5, tol=1e-7, max_iter=5, arc_target=INNER_ARC,
+                            rmin_frac=1e-2)
+        data = solve_measure(pr).summary()
+        want = dataclasses.asdict(pr)
+        want["grid"] = [want.pop("n_r"), want.pop("n_phi")]
+        want["tolerance"] = want.pop("tol")
+        assert {key: data.get(key) for key in want} == want
 
     def test_nonconvergence_reported_not_raised(self):
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=32, n_phi=32, max_iter=3))

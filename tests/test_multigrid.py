@@ -96,6 +96,22 @@ def test_cg_iterations_do_not_grow_with_the_grid():
     assert abs(np.mean(counts[64]) - np.mean(counts[256])) <= 2
 
 
+def test_anisotropic_levels_halve_the_strong_axis_only():
+    n = 129
+    cE = np.ones((n - 1, n))
+    levels = _multigrid.hierarchy(cE, 20.0 * np.ones((n, n - 1)))
+    # halving phi alone divides the ratio 20 by 4 per level: 20, 5, then 1.25
+    assert [lv.shape for lv in levels[:4]] == [(129, 129), (129, 65), (129, 33), (65, 17)]
+
+
+def test_cg_iterations_do_not_grow_with_nu():
+    # the angular couplings outweigh the radial ones by about 4.8 nu^2
+    for nu in (1.0, 2.0, 4.0, 8.0):
+        sol = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=128, n_phi=128))
+        assert sol.converged
+        assert max(sol.cg_history) <= 5, (nu, sol.cg_history)
+
+
 @pytest.mark.parametrize("kw", [
     dict(nu=1.0, p=3.0, n_r=8, n_phi=8),
     dict(nu=1.0, p=1.5, n_r=16, n_phi=17, arc_target=INNER_ARC),
