@@ -112,7 +112,10 @@ def _resolve_outdir(cfg: CliConfig, args) -> str:
 
 def _load_config(args) -> CliConfig:
     cfg = CliConfig.from_file(args.config) if getattr(args, "config", None) else CliConfig()
-    return cfg.apply_args(args)
+    cfg.apply_args(args)
+    if cfg.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {cfg.seed}")
+    return cfg
 
 
 def cmd_exponent(args) -> int:
@@ -167,7 +170,7 @@ def cmd_profile(args) -> int:
 
 def cmd_measure(args) -> int:
     cfg = _load_config(args)
-    from .experiments import mc_agreement, require_mc_applicable
+    from .experiments import MC_WALKS, mc_agreement, require_mc_applicable
     from .measure import (
         INNER_ARC,
         REGION_S2NU,
@@ -202,7 +205,9 @@ def cmd_measure(args) -> int:
         "ratio_max": hi,
     }
     if args.mc_check:
-        extra["mc_agreement"], extra["mc_within_3_sigma"] = mc_agreement(sol, seed=cfg.seed)
+        rows, ok = mc_agreement(sol, MC_WALKS, cfg.seed)
+        extra.update(mc_agreement=rows, mc_within_3_sigma=ok, mc_seed=cfg.seed,
+                     mc_walks=MC_WALKS)
     sol.to_csv(os.path.join(out_dir, stem + ".csv"))
     write_summary_json(sol, os.path.join(out_dir, stem + ".json"), extra)
     print(f"k = {_fmt(k)}")

@@ -35,6 +35,9 @@ from .measure import (
 )
 from .profile import AngleMap, build_profile, theta_of_phi
 
+# walks per probe of the walk-on-spheres cross-check
+MC_WALKS = 100000
+
 
 @dataclass
 class ExperimentReport:
@@ -191,7 +194,7 @@ def require_mc_applicable(problem: MeasureProblem) -> None:
         raise DomainError("walk-on-spheres oracle counts hits on the full arc only")
 
 
-def mc_agreement(sol: MeasureSolution, n_walks: int = 100000, seed: int = 0):
+def mc_agreement(sol: MeasureSolution, n_walks: int = MC_WALKS, seed: int = 0):
     """Compare a solved p = 2 field with walk-on-spheres at five probes.
 
     The probes sit at fixed fractions of R.  Returns (rows, ok): one row per
@@ -215,7 +218,7 @@ def mc_agreement(sol: MeasureSolution, n_walks: int = 100000, seed: int = 0):
 def run_measure_experiment(nu: float, p: float, n_r: int = 256, n_phi: int = 256,
                            slope_tol: float = 0.10, r_window=(0.05, 0.4),
                            eps_reg: float = 1e-6, mc_check: bool = False,
-                           seed: int = 0, n_walks: int = 100000) -> ExperimentReport:
+                           seed: int = 0, n_walks: int = MC_WALKS) -> ExperimentReport:
     """Solve the measure, fit the radial decay, extract the comparability
     certificate; optionally cross-check against walk-on-spheres at p = 2."""
     rep = ExperimentReport(

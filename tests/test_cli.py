@@ -5,7 +5,7 @@ import pytest
 
 from psector import measure
 from psector.cli import main
-from psector.experiments import run_measure_experiment
+from psector.experiments import MC_WALKS, run_measure_experiment
 from psector.profile import read_profile_csv
 
 
@@ -132,6 +132,8 @@ class TestMeasureCommand:
         data = json.loads((tmp_path / "measure_1_2.json").read_text())
         rep = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49, mc_check=True, seed=9)
         assert data["mc_agreement"] == [r for r in rep.rows if "mc" in r]
+        # the summary names the oracle run it compared against
+        assert (data["mc_seed"], data["mc_walks"]) == (9, MC_WALKS)
 
     def test_certificate_window_scales_with_R(self, capsys, tmp_path, monkeypatch):
         solve, solved = measure.solve_measure, []
@@ -160,6 +162,23 @@ class TestMeasureCommand:
                                "--out-dir", str(out))
         assert code == 2
         assert "walk-on-spheres" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed_refused_before_solving(self, capsys, tmp_path, monkeypatch,
+                                                  from_config):
+        def no_solve(problem):
+            raise AssertionError("solved before the seed was checked")
+
+        monkeypatch.setattr(measure, "solve_measure", no_solve)
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n")
+        seed = ["--config", str(cfg)] if from_config else ["--seed", "-1"]
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "measure", "--nu", "1", "--p", "2", "--mc-check",
+                               *seed, "--out-dir", str(out))
+        assert code == 2
+        assert "seed must be >= 0, got -1" in err
         assert not out.exists()
 
 
