@@ -16,7 +16,6 @@ import numpy as np
 
 from .exponent import (
     DomainError,
-    conjugate_exponent,
     dk_dp,
     radial_exponent,
     radial_exponent_inf,
@@ -33,7 +32,7 @@ from .measure import (
     mc_harmonic_measure,
     solve_measure,
 )
-from .profile import AngleMap, build_profile, theta_of_phi
+from .profile import StreamEvaluator, build_profile
 
 # walks per probe of the walk-on-spheres cross-check
 MC_WALKS = 100000
@@ -327,10 +326,9 @@ def run_stream_consistency(nu: float, q: float, n_samples: int = 64) -> Experime
     if not (1.0 < q < 2.0):
         raise DomainError(f"q must lie in (1, 2), got {q}")
     rep = ExperimentReport("stream_consistency", {"nu": nu, "q": q, "n_samples": n_samples})
-    p = conjugate_exponent(q)
-    amap = AngleMap.for_params(nu, p)
-    k = amap.k
-    lam = (p - 1.0) * (k - 1.0) + 1.0
+    stream = StreamEvaluator(nu, q)
+    amap, lam = stream.amap, stream.lam
+    p, k = amap.p, amap.k
     kq = radial_exponent(nu, q)
     rep.check("stream exponent equals k(nu, q)", abs(lam - kq) <= 1e-10,
               f"lam = {lam!r}, k(nu, q) = {kq!r}")
@@ -341,15 +339,10 @@ def run_stream_consistency(nu: float, q: float, n_samples: int = 64) -> Experime
     rows = []
     worst = {"id1": 0.0, "id2": 0.0, "id3": 0.0, "grad": 0.0, "gp": 0.0}
     kappa_ok = True
-    from .profile import _f_from_theta  # noqa: PLC0415
-
     h = 1e-6
     for psi in psis:
-        th = theta_of_phi(psi, amap)
-        f, fp = _f_from_theta(th, amap)
+        th, f, fp, g, gp = stream.pair(psi)
         mod2 = k * k * f * f + fp * fp
-        g = -(1.0 / lam) * fp * mod2 ** ((p - 2.0) / 2.0)
-        gp = k * f * mod2 ** ((p - 2.0) / 2.0)
         id1 = abs(lam * lam * g * g + gp * gp - mod2 ** (p - 1.0)) / mod2 ** (p - 1.0)
         id2 = abs(lam * g + fp * mod2 ** ((p - 2.0) / 2.0)) / mod2 ** ((p - 1.0) / 2.0)
         id3 = abs(gp - k * f * mod2 ** ((p - 2.0) / 2.0)) / mod2 ** ((p - 1.0) / 2.0)
@@ -359,8 +352,8 @@ def run_stream_consistency(nu: float, q: float, n_samples: int = 64) -> Experime
         gu = (r0 ** (k - 1.0) * math.sqrt(mod2)) ** (p - 1.0)
         grad = abs(gv - gu) / gu
         # independent derivative check of g
-        gm = _g_of(psi - h, amap, lam, p)
-        gpl = _g_of(psi + h, amap, lam, p)
+        gm = stream.pair(psi - h)[3]
+        gpl = stream.pair(psi + h)[3]
         gp_num = (gpl - gm) / (2.0 * h)
         gp_err = abs(gp_num - gp) / max(abs(gp), 1e-12)
         w = 1.0 - math.cos(th) ** 2 / ((q - 1.0) * kq / (2.0 - q) + 1.0)
@@ -383,11 +376,3 @@ def run_stream_consistency(nu: float, q: float, n_samples: int = 64) -> Experime
     rep.check("kappa window inside (0, 1)", kappa_ok and wmin > 0.0,
               f"lower bound {wmin:.4f}")
     return rep
-
-
-def _g_of(psi, amap, lam, p):
-    from .profile import _f_from_theta  # noqa: PLC0415
-
-    th = theta_of_phi(psi, amap)
-    f, fp = _f_from_theta(th, amap)
-    return -(1.0 / lam) * fp * (amap.k**2 * f * f + fp * fp) ** ((p - 2.0) / 2.0)

@@ -67,12 +67,16 @@ class MeasureProblem:
         _as_nu(self.nu)
         if not (1.0 < self.p < math.inf):
             raise DomainError(f"measure solver requires finite p > 1, got {self.p}")
-        if self.R <= 0:
-            raise DomainError("R must be positive")
+        for name in ("R", "eps_reg", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
         if self.n_r < 8 or self.n_phi < 8:
             raise DomainError("grid must be at least 8 x 8")
-        if self.eps_reg <= 0:
-            raise DomainError("eps_reg must be positive")
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0.0 < self.rmin_frac < 1.0:
+            raise DomainError(f"rmin_frac must lie in (0, 1), got {self.rmin_frac}")
         if self.radial_spacing not in ("logarithmic", "uniform"):
             raise DomainError(f"unknown radial spacing {self.radial_spacing!r}")
         if self.arc_target not in (FULL_ARC, INNER_ARC):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponent import DomainError
-from .profile import CASE_P2, AngularProfile, PolarPoint
+from .profile import AngularProfile, PolarPoint
 
 # smallest admissible relativization scale; avoids 0/0 where all terms vanish
 _SCALE_FLOOR = 1e-300
@@ -184,21 +184,14 @@ RIDGE_BAND_EPS = 1e-3
 
 
 def profile_corner_bands(prof: AngularProfile, band_eps: float = RIDGE_BAND_EPS):
-    """Angular intervals on which classical residuals of the profile diverge.
+    """Angular intervals on which classical residuals of the profile diverge:
+    one band of half-width band_eps around each of the profile's corners.
 
     For p = inf with nu > 1 the profile has f'' -> -inf at phi = 0; for
     p = inf with nu < 1 the plateau joins the flanks with a jump in f''.
     Finite-p profiles are smooth and get no exclusions.
     """
-    bands = []
-    if prof.p == math.inf:
-        if prof._plateau_phi is not None and prof._plateau_phi > 0:
-            pj = prof._plateau_phi
-            bands.append((-pj - band_eps, -pj + band_eps))
-            bands.append((pj - band_eps, pj + band_eps))
-        else:
-            bands.append((-band_eps, band_eps))
-    return bands
+    return [(x - band_eps, x + band_eps) for x in prof.corners]
 
 
 def _in_bands(phi: float, bands) -> bool:
@@ -223,7 +216,8 @@ def separation_report(prof: AngularProfile, n_samples: int | None = None,
     if n_samples is not None and len(idx) > n_samples:
         idx = idx[:: max(1, len(idx) // n_samples)]
     alpha = prof.half_aperture
-    ridge_blowup = prof.p == math.inf and prof._plateau_phi is None and prof.k > 1.0
+    # only the p = inf angle map has k > 1 and a corner (its ridge at 0)
+    ridge_blowup = prof.k > 1.0 and bool(prof.corners)
     worst = 0.0
     count = 0
     for i in idx:
@@ -239,7 +233,7 @@ def separation_report(prof: AngularProfile, n_samples: int | None = None,
             r = inf_separation_residual(f[i], fp[i], fpp_i, prof.k, relative=True)
         elif prof.p == math.inf:
             r = inf_separation_residual(f[i], fp[i], fpp[i], prof.k, relative=True)
-        elif prof.case == CASE_P2:
+        elif prof.p == 2.0:
             # p = 2 balance: f'' + nu^2 f = 0
             r = (fpp[i] + prof.nu**2 * f[i]) / max(
                 abs(fpp[i]), abs(prof.nu**2 * f[i]), _SCALE_FLOOR
@@ -290,7 +284,7 @@ def polar_residual_report(prof: AngularProfile, n_samples: int = 100,
         if prof.p == math.inf:
             x, y = r0 * math.cos(phi), r0 * math.sin(phi)
             r = inf_lap_residual(fld_xy, (x, y), step, relative=True)
-        elif prof.case == CASE_P2:
+        elif prof.p == 2.0:
             r = laplace_polar_residual(fld_polar, PolarPoint(r0, phi), step, relative=True)
         else:
             r = polar_plap_residual(fld_polar, PolarPoint(r0, phi), prof.p, step, relative=True)

@@ -1,18 +1,23 @@
 """Angular profiles f(phi) of separable p-harmonic functions r**k * f(phi).
 
-Construction has four routes, selected by p:
+Each of the paper's four constructions of f is one evaluator:
 
-* p = 2: closed trigonometric form f = cos(nu*phi).
-* 2 < p < inf: implicit monotone angle map theta(phi) defined through an
-  arctan formula, with f and f' explicit in theta.
-* p = inf: the same map with a = 1 for nu >= 1, and for nu < 1 (aperture
-  beyond pi) the degenerate profile with a flat plateau around phi = 0 and
-  sinusoidal flanks.
-* 1 < p < 2: conjugation through a stream function of the conjugate-exponent
+* ClosedFormEvaluator, p = 2: f = cos(nu*phi), theta = nu*phi.
+* AngleMapEvaluator, 2 < p <= inf (nu >= 1 at p = inf): an implicit monotone
+  angle map theta(phi), defined through an arctan formula, with f and f'
+  explicit in theta.
+* PlateauEvaluator, p = inf with nu < 1 (aperture beyond pi): a flat plateau
+  around phi = 0 with sinusoidal flanks.
+* StreamEvaluator, 1 < p < 2: the stream function of the conjugate-exponent
   profile built on an extended angular domain, rotated back and renormalized.
 
-All profiles are normalized to f(0) = 1 and tabulated on a uniform phi grid;
-the table carries (phi, theta, f, f') and the realized band constants.
+Every evaluator exposes `case`, `k`, `c`, `corners` (the angles where f''
+does not exist) and `eval(phi) -> (f, f', theta)`.  For the angle-map round
+trip each also gives `map_samples(rng, n)`, the angles to check (none at
+p = 2), and the others the map `theta_of` with its inverse `phi_of`.
+build_profile picks the evaluator and tabulates (phi, theta, f, f') through
+it on a uniform phi grid, normalized to f(0) = 1, with the realized band
+constants.
 """
 
 from __future__ import annotations
@@ -171,11 +176,6 @@ def theta_of_phi(phi: float, amap: AngleMap) -> float:
     return math.copysign(0.5 * (lo + hi), phi)
 
 
-def eval_f_p2(phi: float, nu: float) -> tuple[float, float]:
-    """Harmonic-case profile: (cos(nu*phi), -nu*sin(nu*phi))."""
-    return math.cos(nu * phi), -nu * math.sin(nu * phi)
-
-
 def _f_from_theta(theta: float, amap: AngleMap) -> tuple[float, float]:
     """(f, f') at a mapped angle: c*w^((k-1)/2)*cos(theta) and its phi-derivative
     -k*c*w^((k-1)/2)*sin(theta), with w = 1 - cos^2(theta)/(ak).
@@ -192,20 +192,140 @@ def _f_from_theta(theta: float, amap: AngleMap) -> tuple[float, float]:
     return wp * math.cos(theta), -k * wp * math.sin(theta)
 
 
+class ClosedFormEvaluator:
+    """p = 2: f = cos(nu*phi), theta = nu*phi, k = nu; defined for every phi."""
+
+    case, c, corners = CASE_P2, 1.0, ()
+
+    def __init__(self, nu: float):
+        self.nu = self.k = nu
+
+    def eval(self, phi: float) -> tuple[float, float, float]:
+        th = self.nu * phi
+        return math.cos(th), -self.nu * math.sin(th), th
+
+    def map_samples(self, rng, n: int):
+        # theta = nu*phi exactly: no root finding to round-trip
+        return ()
+
+
+class AngleMapEvaluator:
+    """2 < p <= inf: f and f' explicit in theta(phi), on the extended domain
+    |phi| <= pi/nu.  At p = inf the corner is the ridge phi = 0, where
+    f'' -> -inf for nu > 1; at nu = 1 (f = cos) it is listed too, so the
+    residual reports exclude the same band for every p = inf angle map."""
+
+    def __init__(self, nu: float, p: float):
+        self.amap = AngleMap.for_params(nu, p)
+        self.case = CASE_INF if p == math.inf else CASE_GT2
+        self.k, self.c = self.amap.k, self.amap.normalization
+        self.corners = (0.0,) if p == math.inf else ()
+
+    def eval(self, phi: float) -> tuple[float, float, float]:
+        alpha_ext = math.pi / self.amap.nu
+        if not abs(phi) <= alpha_ext + 1e-12:
+            raise DomainError(f"|phi| exceeds the extended domain bound {alpha_ext}")
+        th = theta_of_phi(phi, self.amap)
+        f, fp = _f_from_theta(th, self.amap)
+        return f, fp, th
+
+    def theta_of(self, phi: float) -> float:
+        return theta_of_phi(phi, self.amap)
+
+    def phi_of(self, theta: float) -> float:
+        return phi_of_theta(theta, self.amap)
+
+    def map_samples(self, rng, n: int):
+        alpha = math.pi / (2.0 * self.amap.nu)
+        return rng.uniform(-alpha + 1e-9, alpha - 1e-9, n)
+
+
+class PlateauEvaluator:
+    """p = inf, nu < 1: f = 1 on |phi| <= pj = pi/(2 nu) - pi/2 and
+    cos(|phi| - pj) on the flanks, with theta = sign(phi) (|phi| - pj); f''
+    jumps at the junctions +-pj."""
+
+    case, k, c = CASE_INF, 1.0, 1.0
+
+    def __init__(self, nu: float):
+        self.alpha = math.pi / (2.0 * nu)
+        self.pj = self.alpha - math.pi / 2.0
+        self.corners = (-self.pj, self.pj)
+
+    def eval(self, phi: float) -> tuple[float, float, float]:
+        if not abs(phi) <= self.alpha + 1e-12:
+            raise DomainError(f"|phi| exceeds the sector bound {self.alpha}")
+        if abs(phi) <= self.pj:
+            return 1.0, 0.0, 0.0
+        th = abs(phi) - self.pj
+        return math.cos(th), -math.copysign(math.sin(th), phi), math.copysign(th, phi)
+
+    def theta_of(self, phi: float) -> float:
+        return math.copysign(abs(phi) - self.pj, phi)
+
+    def phi_of(self, theta: float) -> float:
+        return math.copysign(abs(theta) + self.pj, theta)
+
+    def map_samples(self, rng, n: int):
+        # the plateau flattens the map; it is invertible on the flanks only
+        samples = rng.uniform(self.pj + 1e-6, self.alpha, n)
+        return samples * rng.choice([-1.0, 1.0], n)
+
+
+class StreamEvaluator:
+    """1 < p < 2: the stream function g of the conjugate-exponent profile
+    (exponent p' = p/(p-1) > 2, angle map `amap`, radial exponent k'),
+    rotated by the half-aperture and divided by its peak g_max.  Its radial
+    exponent is lam = (p' - 1)(k' - 1) + 1 = k(nu, p)."""
+
+    case, c, corners = CASE_LT2, 1.0, ()
+
+    def __init__(self, nu: float, p: float):
+        self.amap = AngleMap.for_params(nu, conjugate_exponent(p))
+        self.alpha = math.pi / (2.0 * nu)
+        self.k = self.lam = (self.amap.p - 1.0) * (self.amap.k - 1.0) + 1.0
+        # g peaks at theta = pi/2, the rotated origin; normalizing by its
+        # computed value there makes f(0) = 1 exact
+        self.g_max = self.pair(self.alpha)[3]
+
+    def pair(self, psi: float) -> tuple[float, float, float, float, float]:
+        """(theta, f, f', g, g') at an extended angle psi in [-pi/(2 nu), pi/nu],
+        unnormalized: f, f' of the conjugate profile and, with
+        m = (k'^2 f^2 + f'^2)^((p'-2)/2), g = -(1/lam) f' m and g' = k' f m."""
+        amap = self.amap
+        th = theta_of_phi(psi, amap)
+        f, fp = _f_from_theta(th, amap)
+        mod = (amap.k * amap.k * f * f + fp * fp) ** ((amap.p - 2.0) / 2.0)
+        return th, f, fp, -(1.0 / self.lam) * fp * mod, amap.k * f * mod
+
+    def eval(self, phi: float) -> tuple[float, float, float]:
+        if not abs(phi) <= self.alpha + 1e-12:
+            raise DomainError(f"|phi| exceeds the sector bound {self.alpha}")
+        th, _, _, g, gp = self.pair(phi + self.alpha)
+        return g / self.g_max, gp / self.g_max, th
+
+    def theta_of(self, psi: float) -> float:
+        return theta_of_phi(psi, self.amap)
+
+    def phi_of(self, theta: float) -> float:
+        return phi_of_theta(theta, self.amap)
+
+    def map_samples(self, rng, n: int):
+        # the conjugate map on the extended domain the stream rotates through
+        return rng.uniform(-self.alpha + 1e-9, math.pi / self.amap.nu - 1e-9, n)
+
+
 @dataclass
 class AngularProfile:
-    """Tabulated angular profile with exact evaluators behind the table.
+    """Tabulated angular profile with the exact evaluator behind the table.
 
-    The table spans [-pi/(2 nu), pi/(2 nu)]; exact evaluation is available on
-    the extended domain up to pi/nu for the angle-map cases (needed by the
-    stream construction).
+    The table spans [-pi/(2 nu), pi/(2 nu)]; the angle-map evaluator also
+    covers the extended domain up to pi/nu.
     """
 
     nu: float
     p: float
-    k: float
-    c: float
-    case: str
+    evaluator: ClosedFormEvaluator | AngleMapEvaluator | PlateauEvaluator | StreamEvaluator
     phi: np.ndarray
     theta: np.ndarray
     f: np.ndarray
@@ -213,10 +333,23 @@ class AngularProfile:
     band_inner_min_f: float
     band_outer_min_fprime: float
     boundary_residual: float
-    _amap: AngleMap | None = None
-    _conj: dict | None = field(default=None, repr=False)
-    _plateau_phi: float | None = None
     _pchip: object = field(default=None, repr=False)
+
+    @property
+    def case(self) -> str:
+        return self.evaluator.case
+
+    @property
+    def k(self) -> float:
+        return self.evaluator.k
+
+    @property
+    def c(self) -> float:
+        return self.evaluator.c
+
+    @property
+    def corners(self) -> tuple:
+        return self.evaluator.corners
 
     @property
     def half_aperture(self) -> float:
@@ -227,52 +360,10 @@ class AngularProfile:
         return self.p == math.inf
 
     def f_exact(self, phi: float) -> float:
-        return self._eval(phi)[0]
+        return self.evaluator.eval(phi)[0]
 
     def fprime_exact(self, phi: float) -> float:
-        return self._eval(phi)[1]
-
-    def theta_exact(self, phi: float) -> float:
-        return self._eval(phi)[2]
-
-    def _eval(self, phi: float) -> tuple[float, float, float]:
-        if self.case == CASE_P2:
-            f, fp = eval_f_p2(phi, self.nu)
-            return f, fp, self.nu * phi
-        if self.case == CASE_LT2:
-            return self._eval_stream(phi)
-        if self._plateau_phi is not None:
-            return self._eval_plateau(phi)
-        alpha_ext = math.pi / self.nu
-        if not abs(phi) <= alpha_ext + 1e-12:
-            raise DomainError(f"|phi| exceeds the extended domain bound {alpha_ext}")
-        th = theta_of_phi(phi, self._amap)
-        f, fp = _f_from_theta(th, self._amap)
-        return f, fp, th
-
-    def _eval_plateau(self, phi: float) -> tuple[float, float, float]:
-        alpha = self.half_aperture
-        if not abs(phi) <= alpha + 1e-12:
-            raise DomainError(f"|phi| exceeds the sector bound {alpha}")
-        pj = self._plateau_phi
-        if abs(phi) <= pj:
-            return 1.0, 0.0, 0.0
-        th = abs(phi) - pj
-        return math.cos(th), -math.copysign(math.sin(th), phi), math.copysign(th, phi)
-
-    def _eval_stream(self, phi: float) -> tuple[float, float, float]:
-        alpha = self.half_aperture
-        if not abs(phi) <= alpha + 1e-12:
-            raise DomainError(f"|phi| exceeds the sector bound {alpha}")
-        cj = self._conj
-        psi = phi + alpha
-        th = theta_of_phi(psi, cj["amap"])
-        fb, fpb = _f_from_theta(th, cj["amap"])
-        kp = cj["k_p"]
-        mod = (kp * kp * fb * fb + fpb * fpb) ** ((cj["p_conj"] - 2.0) / 2.0)
-        g = -(1.0 / cj["lam"]) * fpb * mod
-        gp = kp * fb * mod
-        return g / cj["g_max"], gp / cj["g_max"], th
+        return self.evaluator.eval(phi)[1]
 
     def interpolator(self):
         if self._pchip is None:
@@ -280,27 +371,6 @@ class AngularProfile:
 
             self._pchip = PchipInterpolator(self.phi, self.f)
         return self._pchip
-
-
-def stream_conjugate(base: AngularProfile, q: float):
-    """Stream function of a conjugate-exponent profile, sampled on its grid.
-
-    Given the profile for p = q/(q-1) > 2 tabulated on the extended domain,
-    returns (g, gprime, stream_exponent) with
-    g = -(1/lam) f' (k^2 f^2 + f'^2)^((p-2)/2),
-    g' = k f (k^2 f^2 + f'^2)^((p-2)/2), lam = (p-1)(k-1)+1 = k(nu, q).
-    """
-    if not (1.0 < q < 2.0):
-        raise DomainError(f"q must lie in (1, 2), got {q}")
-    p = conjugate_exponent(q)
-    if not math.isclose(base.p, p, rel_tol=1e-12):
-        raise DomainError(f"base profile must use the conjugate exponent {p}, got {base.p}")
-    k = base.k
-    lam = (p - 1.0) * (k - 1.0) + 1.0
-    mod = (k * k * base.f**2 + base.fprime**2) ** ((p - 2.0) / 2.0)
-    g = -(1.0 / lam) * base.fprime * mod
-    gprime = k * base.f * mod
-    return g, gprime, lam
 
 
 def _check_invariants(prof: AngularProfile) -> list[str]:
@@ -332,10 +402,10 @@ def _check_invariants(prof: AngularProfile) -> list[str]:
 def build_profile(sector, p, n_samples: int = 129) -> AngularProfile:
     """Construct and validate the angular profile for the sector and exponent.
 
-    n_samples is rounded up to an odd count so phi = 0 is a node.  Dispatch:
-    p = 2 closed form; p in (2, inf] angle map (plateau variant for p = inf,
-    nu < 1); p in (1, 2) stream conjugation of the p/(p-1) profile on the
-    extended domain, rotated by the half-aperture and renormalized.
+    n_samples is rounded up to an odd count so phi = 0 is a node.  The
+    evaluator: p = 2 closed form; p in (2, inf] angle map (plateau for
+    p = inf, nu < 1); p in (1, 2) stream conjugation of the p/(p-1) profile.
+    The table is the evaluator's values at the nodes.
     """
     nu = _as_nu(sector)
     p = _as_p(p)
@@ -347,81 +417,28 @@ def build_profile(sector, p, n_samples: int = 129) -> AngularProfile:
     phi = np.linspace(-alpha, alpha, n_samples)
 
     if p != math.inf and abs(p - 2.0) < P2_SWITCH:
-        k = nu
-        theta = nu * phi
-        f = np.cos(theta)
-        fp = -nu * np.sin(theta)
-        prof = AngularProfile(
-            nu=nu, p=2.0, k=k, c=1.0, case=CASE_P2,
-            phi=phi, theta=theta, f=f, fprime=fp,
-            band_inner_min_f=_band_inner(phi, f, alpha),
-            band_outer_min_fprime=_band_outer(phi, fp, alpha),
-            boundary_residual=max(abs(f[0]), abs(f[-1])),
-        )
+        p = 2.0
+        ev = ClosedFormEvaluator(nu)
     elif p == math.inf and nu < 1.0:
-        k = 1.0
-        pj = alpha - math.pi / 2.0
-        prof = AngularProfile(
-            nu=nu, p=p, k=k, c=1.0, case=CASE_INF,
-            phi=phi, theta=np.zeros_like(phi), f=np.zeros_like(phi),
-            fprime=np.zeros_like(phi),
-            band_inner_min_f=0.0, band_outer_min_fprime=0.0,
-            boundary_residual=0.0, _plateau_phi=pj,
-        )
-        _fill_table(prof)
+        ev = PlateauEvaluator(nu)
     elif p == math.inf or p > 2.0:
-        amap = AngleMap.for_params(nu, p)
-        prof = AngularProfile(
-            nu=nu, p=p, k=amap.k, c=amap.normalization,
-            case=CASE_INF if p == math.inf else CASE_GT2,
-            phi=phi, theta=np.zeros_like(phi), f=np.zeros_like(phi),
-            fprime=np.zeros_like(phi),
-            band_inner_min_f=0.0, band_outer_min_fprime=0.0,
-            boundary_residual=0.0, _amap=amap,
-        )
-        _fill_table(prof)
+        ev = AngleMapEvaluator(nu, p)
     else:
-        p_conj = conjugate_exponent(p)
-        amap = AngleMap.for_params(nu, p_conj)
-        lam = (p_conj - 1.0) * (amap.k - 1.0) + 1.0
-        conj = {
-            "amap": amap,
-            "k_p": amap.k,
-            "c_p": amap.normalization,
-            "p_conj": p_conj,
-            "lam": lam,
-            "g_max": 1.0,
-        }
-        prof = AngularProfile(
-            nu=nu, p=p, k=lam, c=1.0, case=CASE_LT2,
-            phi=phi, theta=np.zeros_like(phi), f=np.zeros_like(phi),
-            fprime=np.zeros_like(phi),
-            band_inner_min_f=0.0, band_outer_min_fprime=0.0,
-            boundary_residual=0.0, _conj=conj,
-        )
-        # g attains its maximum at theta = pi/2, i.e. the rotated origin;
-        # normalizing through the evaluator itself makes f(0) = 1 exact
-        conj["g_max"] = prof._eval(0.0)[0]
-        _fill_table(prof)
-
+        ev = StreamEvaluator(nu, p)
+    f, fp, theta = (np.array(col) for col in zip(*(ev.eval(x) for x in phi)))
+    prof = AngularProfile(
+        nu=nu, p=p, evaluator=ev,
+        phi=phi, theta=theta, f=f, fprime=fp,
+        band_inner_min_f=_band_inner(phi, f, alpha),
+        band_outer_min_fprime=_band_outer(phi, fp, alpha),
+        boundary_residual=max(abs(f[0]), abs(f[-1])),
+    )
     bad = _check_invariants(prof)
     if bad:
         raise ProfileInvariantError(
             f"profile(nu={nu}, p={p}) failed invariants: " + "; ".join(bad)
         )
     return prof
-
-
-def _fill_table(prof: AngularProfile) -> None:
-    vals = [prof._eval(x) for x in prof.phi]
-    prof.f = np.array([v[0] for v in vals])
-    prof.fprime = np.array([v[1] for v in vals])
-    prof.theta = np.array([v[2] for v in vals])
-    # enforce exact symmetry of the root-found table (oddness of theta)
-    prof.boundary_residual = max(abs(prof.f[0]), abs(prof.f[-1]))
-    alpha = prof.half_aperture
-    prof.band_inner_min_f = _band_inner(prof.phi, prof.f, alpha)
-    prof.band_outer_min_fprime = _band_outer(prof.phi, prof.fprime, alpha)
 
 
 def _band_inner(phi, f, alpha):

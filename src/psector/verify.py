@@ -27,7 +27,7 @@ from .experiments import (
     run_stream_consistency,
 )
 from .pde import polar_residual_report, separation_report
-from .profile import build_profile, phi_of_theta, theta_of_phi
+from .profile import build_profile
 
 NU_GRID = [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0]
 P_GRID = [1.1, 1.5, 2.0, 3.0, 4.0, 10.0, 100.0]
@@ -84,40 +84,12 @@ def profile_suite() -> list[ExperimentReport]:
             "band_inner_min_f": prof.band_inner_min_f,
             "band_outer_min_fprime": prof.band_outer_min_fprime,
         })
-        amap = _roundtrip_map(prof)
-        if amap is None:
-            continue
-        alpha = prof.half_aperture
-        if prof.p == math.inf and prof._plateau_phi is not None:
-            lo = prof._plateau_phi + 1e-6
-            samples = rng.uniform(lo, alpha, 200)
-            samples *= rng.choice([-1.0, 1.0], 200)
-        elif prof.case == "P_LT2_STREAM":
-            samples = rng.uniform(-alpha + 1e-9, math.pi / nu - 1e-9, 200)
-        else:
-            samples = rng.uniform(-alpha + 1e-9, alpha - 1e-9, 200)
-        for x in samples:
-            if prof.p == math.inf and prof._plateau_phi is not None:
-                pj = prof._plateau_phi
-                th = math.copysign(abs(x) - pj, x)
-                back = math.copysign(abs(th) + pj, th)
-            else:
-                th = theta_of_phi(x, amap)
-                back = phi_of_theta(th, amap)
-            worst_rt = max(worst_rt, abs(back - x))
+        ev = prof.evaluator
+        for x in ev.map_samples(rng, 200):
+            worst_rt = max(worst_rt, abs(ev.phi_of(ev.theta_of(x)) - x))
     rep.check("profiles build with all invariants", True, f"{len(PROFILE_CASES)} cases")
     rep.check("angle-map round trip", worst_rt <= 1e-10, f"max |phi - phi'| = {worst_rt:.2e}")
     return [rep]
-
-
-def _roundtrip_map(prof):
-    if prof.case == "P_LT2_STREAM":
-        return prof._conj["amap"]
-    if prof.case == "P2_CLOSED":
-        return None
-    if prof._plateau_phi is not None:
-        return prof  # sentinel; handled by the plateau branch
-    return prof._amap
 
 
 def pde_suite(quick: bool = False) -> list[ExperimentReport]:

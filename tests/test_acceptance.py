@@ -27,13 +27,8 @@ from psector.measure import (
     solve_measure,
 )
 from psector.pde import polar_residual_report, separation_report
-from psector.profile import build_profile, phi_of_theta, theta_of_phi
-from psector.verify import MEASURE_CASES
-
-NU_GRID = [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0]
-P_GRID = [1.1, 1.5, 2.0, 3.0, 4.0, 10.0, 100.0]
-PROFILE_GRID = [(nu, p) for nu in (0.5, 1.0, 2.0, 4.0)
-                for p in (1.5, 2.0, 3.0, 4.0, math.inf)]
+from psector.profile import build_profile
+from psector.verify import MEASURE_CASES, NU_GRID, P_GRID, PROFILE_CASES
 
 _solve_cache = {}
 
@@ -113,7 +108,7 @@ def test_criterion_4_profile_invariants():
     t0 = time.time()
     rng = np.random.default_rng(2024)
     worst_rt = 0.0
-    for nu, p in PROFILE_GRID:
+    for nu, p in PROFILE_CASES:
         prof = build_profile(nu, p, 129)
         i0 = len(prof.phi) // 2
         assert prof.f[i0] == 1.0
@@ -122,27 +117,9 @@ def test_criterion_4_profile_invariants():
         assert prof.f.min() >= -1e-12 and prof.f.max() <= 1.0 + 1e-12
         assert np.max(np.abs(prof.f - prof.f[::-1])) <= 1e-10
         assert np.max(np.abs(prof.fprime + prof.fprime[::-1])) <= 1e-10
-        alpha = prof.half_aperture
-        if prof.case == "P2_CLOSED":
-            continue  # theta = nu phi exactly; no root finding to check
-        if prof.case == "P_LT2_STREAM":
-            amap = prof._conj["amap"]
-            samples = rng.uniform(-alpha + 1e-9, math.pi / nu - 1e-9, 200)
-        elif prof._plateau_phi is not None:
-            # the plateau flattens the map; the round trip lives on the flanks
-            lo = prof._plateau_phi + 1e-6
-            samples = rng.uniform(lo, alpha, 200) * rng.choice([-1.0, 1.0], 200)
-            pj = prof._plateau_phi
-            for x in samples:
-                th = math.copysign(abs(x) - pj, x)
-                worst_rt = max(worst_rt, abs(math.copysign(abs(th) + pj, th) - x))
-            continue
-        else:
-            amap = prof._amap
-            samples = rng.uniform(-alpha + 1e-9, alpha - 1e-9, 200)
-        for x in samples:
-            back = phi_of_theta(theta_of_phi(x, amap), amap)
-            worst_rt = max(worst_rt, abs(back - x))
+        ev = prof.evaluator
+        for x in ev.map_samples(rng, 200):
+            worst_rt = max(worst_rt, abs(ev.phi_of(ev.theta_of(x)) - x))
     dt = time.time() - t0
     assert worst_rt <= 1e-10
     assert dt < 10.0
@@ -153,7 +130,7 @@ def test_criterion_4_profile_invariants():
 def test_criterion_5_equation_residuals():
     t0 = time.time()
     worst_sep = worst_field = 0.0
-    for nu, p in PROFILE_GRID:
+    for nu, p in PROFILE_CASES:
         prof = build_profile(nu, p, 257)
         worst_sep = max(worst_sep, separation_report(prof).max_abs_residual)
         worst_field = max(worst_field,

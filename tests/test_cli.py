@@ -181,6 +181,29 @@ class TestMeasureCommand:
         assert "seed must be >= 0, got -1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--tol", "0"], "", "tol must be finite and positive, got 0.0"),
+        (["--R", "nan"], "", "R must be finite and positive, got nan"),
+        (["--R", "inf"], "", "R must be finite and positive, got inf"),
+        ([], "max_iter = 0\n", "max_iter must be >= 1, got 0"),
+        ([], "eps_reg = nan\n", "eps_reg must be finite and positive, got nan"),
+    ], ids=["tol-0", "R-nan", "R-inf", "max_iter-0", "eps_reg-nan"])
+    def test_unsolvable_problem_refused_before_writing(self, capsys, tmp_path,
+                                                       monkeypatch, flags, config,
+                                                       message):
+        def no_solve(problem):
+            raise AssertionError("solved an unsolvable problem")
+
+        monkeypatch.setattr(measure, "solve_measure", no_solve)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "measure", "--nu", "1", "--p", "2", *flags,
+                               "--config", str(cfg), "--out-dir", str(out))
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_unknown_suite(self, capsys):

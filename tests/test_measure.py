@@ -199,6 +199,13 @@ class TestSolveMeasure:
             MeasureProblem(nu=1.0, p=2.0, eps_reg=0.0)
         with pytest.raises(DomainError):
             MeasureProblem(nu=1.0, p=2.0, radial_spacing="geometric")
+        for bad in (dict(R=math.nan), dict(R=math.inf), dict(R=-1.0),
+                    dict(eps_reg=math.nan), dict(eps_reg=math.inf),
+                    dict(tol=0.0), dict(tol=math.nan), dict(tol=-1e-8),
+                    dict(max_iter=0), dict(rmin_frac=0.0), dict(rmin_frac=1.0),
+                    dict(rmin_frac=1.5), dict(rmin_frac=math.nan)):
+            with pytest.raises(DomainError):
+                MeasureProblem(nu=1.0, p=2.0, **bad)
 
     def test_uniform_spacing_supported(self):
         sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=48, n_phi=49,

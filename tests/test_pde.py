@@ -5,6 +5,7 @@ import pytest
 
 from psector.exponent import DomainError
 from psector.pde import (
+    RIDGE_BAND_EPS,
     ResidualReport,
     inf_lap_residual,
     inf_separation_residual,
@@ -144,6 +145,10 @@ class TestReports:
         assert len(ridge) == 1 and ridge[0][0] < 0 < ridge[0][1]
         plateau = profile_corner_bands(build_profile(0.5, math.inf, 65))
         assert len(plateau) == 2
+        # f = cos(phi) is smooth at nu = 1, but the p = inf angle map keeps
+        # its ridge band, on which the reports' sample counts depend
+        half_plane = profile_corner_bands(build_profile(1.0, math.inf, 65))
+        assert half_plane == [(-RIDGE_BAND_EPS, RIDGE_BAND_EPS)]
 
     def test_report_json(self):
         rep = ResidualReport(1e-5, 40, [(-0.1, 0.1)], 2.0)

@@ -12,14 +12,16 @@ from psector.profile import (
     CASE_LT2,
     CASE_P2,
     AngleMap,
+    AngleMapEvaluator,
+    ClosedFormEvaluator,
+    PlateauEvaluator,
     PolarPoint,
+    StreamEvaluator,
     build_profile,
-    eval_f_p2,
     eval_u,
     eval_u_exact,
     phi_of_theta,
     read_profile_csv,
-    stream_conjugate,
     theta_of_phi,
     write_profile_csv,
 )
@@ -122,21 +124,33 @@ class TestEvaluators:
                 ), (nu, p, phi)
 
     def test_p2_closed_form(self):
-        assert eval_f_p2(0.0, 2.0) == (1.0, 0.0)
-        f, fp = eval_f_p2(math.pi / 4, 2.0)
-        assert f == pytest.approx(0.0, abs=1e-16)
-        assert fp == pytest.approx(-2.0)
-        f, fp = eval_f_p2(math.pi / 8, 2.0)
-        assert f == pytest.approx(math.sqrt(2) / 2)
-        assert fp == pytest.approx(-math.sqrt(2))
+        prof = build_profile(2.0, 2.0)
+        assert (prof.f_exact(0.0), prof.fprime_exact(0.0)) == (1.0, 0.0)
+        assert prof.f_exact(math.pi / 4) == pytest.approx(0.0, abs=1e-16)
+        assert prof.fprime_exact(math.pi / 4) == pytest.approx(-2.0)
+        assert prof.f_exact(math.pi / 8) == pytest.approx(math.sqrt(2) / 2)
+        assert prof.fprime_exact(math.pi / 8) == pytest.approx(-math.sqrt(2))
+
+    @pytest.mark.parametrize("nu, p", [(1.0, 2.0), (2.0, 3.0), (0.5, math.inf), (2.0, 1.5)])
+    def test_table_is_evaluator_at_nodes(self, nu, p):
+        prof = build_profile(nu, p, 129)
+        for i, x in enumerate(prof.phi):
+            assert (prof.f[i], prof.fprime[i], prof.theta[i]) == prof.evaluator.eval(x)
 
 
 class TestBuildProfile:
-    def test_case_dispatch(self):
-        assert build_profile(1.0, 2.0, 65).case == CASE_P2
-        assert build_profile(1.0, 3.0, 65).case == CASE_GT2
-        assert build_profile(1.0, math.inf, 65).case == CASE_INF
-        assert build_profile(1.0, 1.5, 65).case == CASE_LT2
+    def test_case_dispatch(self, tmp_path):
+        for nu, p, kind, label in [
+            (1.0, 2.0, ClosedFormEvaluator, CASE_P2),
+            (1.0, 3.0, AngleMapEvaluator, CASE_GT2),
+            (1.0, math.inf, AngleMapEvaluator, CASE_INF),
+            (0.5, math.inf, PlateauEvaluator, CASE_INF),
+            (1.0, 1.5, StreamEvaluator, CASE_LT2),
+        ]:
+            prof = build_profile(nu, p, 65)
+            assert type(prof.evaluator) is kind
+            write_profile_csv(prof, tmp_path / "prof.csv")
+            assert read_profile_csv(tmp_path / "prof.csv")[0]["case"] == label
 
     def test_harmonic_profile_is_cosine(self):
         prof = build_profile(1.0, 2.0, 65)
@@ -196,36 +210,7 @@ class TestBuildProfile:
 
     def test_p_near_2_uses_closed_form(self):
         prof = build_profile(1.5, 2.0 + 1e-9, 65)
-        assert prof.case == CASE_P2
-
-
-class TestStreamConjugate:
-    def test_exponent_identity(self):
-        base = build_profile(2.0, 3.0, 129)
-        g, gp, lam = stream_conjugate(base, 1.5)
-        assert lam == pytest.approx(radial_exponent(2.0, 1.5), abs=1e-10)
-
-    def test_g_recomputation(self):
-        base = build_profile(1.0, 3.0, 129)
-        g, gp, lam = stream_conjugate(base, 1.5)
-        k, p = base.k, 3.0
-        mod = (k * k * base.f**2 + base.fprime**2) ** ((p - 2) / 2)
-        assert np.allclose(g, -(1.0 / lam) * base.fprime * mod, rtol=1e-12)
-        assert np.allclose(gp, k * base.f * mod, rtol=1e-12)
-
-    def test_gprime_vanishes_with_f(self):
-        base = build_profile(2.0, 3.0, 129)
-        _, gp, _ = stream_conjugate(base, 1.5)
-        j = np.argmin(np.abs(base.phi - math.pi / 4))  # f = 0 there
-        assert abs(gp[j]) <= 1e-8
-
-    def test_requires_conjugate_pair(self):
-        base = build_profile(2.0, 3.0, 129)
-        with pytest.raises(DomainError):
-            stream_conjugate(base, 2.5)
-        base4 = build_profile(2.0, 4.0, 129)
-        with pytest.raises(DomainError):
-            stream_conjugate(base4, 1.5)  # conjugate of 1.5 is 3, not 4
+        assert type(prof.evaluator) is ClosedFormEvaluator and prof.p == 2.0
 
 
 class TestEvalU:
@@ -292,5 +277,5 @@ def test_property_round_trip(nu, p, phi_frac):
 @given(nu=st.floats(0.5, 4.0), p=st.floats(1.05, 1.95))
 def test_property_stream_profile_valid(nu, p):
     prof = build_profile(nu, p, 33)  # build_profile validates all invariants
-    assert prof.case == CASE_LT2
+    assert type(prof.evaluator) is StreamEvaluator
     assert prof.k == pytest.approx(radial_exponent(nu, p), abs=1e-10)
