@@ -33,17 +33,6 @@ EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 EXIT_NO_CONVERGENCE = 4
 
-_CONFIG_KEYS = {
-    "n_r": int,
-    "n_phi": int,
-    "samples": int,
-    "tol": float,
-    "eps_reg": float,
-    "max_iter": int,
-    "seed": int,
-    "out_dir": str,
-}
-
 
 @dataclass
 class CliConfig:
@@ -58,7 +47,10 @@ class CliConfig:
 
     @classmethod
     def from_file(cls, path) -> "CliConfig":
+        """Defaults overridden by the file's key = value lines; each value is
+        converted to the type of its field's default."""
         cfg = cls()
+        kinds = {f.name: type(f.default) for f in fields(cls)}
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
@@ -72,9 +64,9 @@ class CliConfig:
             key, val = key.strip(), val.strip().strip("\"'")
             if not sep:
                 raise DomainError(f"{path}:{lineno}: expected key = value")
-            if key not in _CONFIG_KEYS:
+            if key not in kinds:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = _CONFIG_KEYS[key]
+            kind = kinds[key]
             try:
                 setattr(cfg, key, kind(val))
             except ValueError:

@@ -8,12 +8,12 @@ to JSON (machine checks) and CSV (plotting).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _output
 from .exponent import (
     DomainError,
     dk_dp,
@@ -60,42 +60,24 @@ class ExperimentReport:
         return None
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(
-                {
-                    "experiment_id": self.experiment_id,
-                    "parameters": self.parameters,
-                    "rows": self.rows,
-                    "criteria": self.criteria,
-                    "provenance": self.provenance,
-                    "passed": self.passed,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-                default=_json_default,
-            )
-            fh.write("\n")
+        _output.write_json(path, {
+            "experiment_id": self.experiment_id,
+            "parameters": self.parameters,
+            "rows": self.rows,
+            "criteria": self.criteria,
+            "provenance": self.provenance,
+            "passed": self.passed,
+        })
 
     def write_csv(self, path) -> None:
-        if not self.rows:
-            cols = []
-        else:
-            cols = list(self.rows[0].keys())
-        lines = [f"# experiment = {self.experiment_id}"]
-        for key in sorted(self.parameters):
-            lines.append(f"# {key} = {self.parameters[key]!r}")
-        lines.append(",".join(cols))
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        cols = list(self.rows[0].keys()) if self.rows else []
+        _output.write_table(
+            path,
+            [("experiment", self.experiment_id)]
+            + [(key, repr(self.parameters[key])) for key in sorted(self.parameters)],
+            cols,
+            (",".join(_csv_cell(row.get(c)) for c in cols) + "\n" for row in self.rows),
+        )
 
 
 def _csv_cell(v) -> str:

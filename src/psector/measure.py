@@ -23,13 +23,12 @@ field; comparability_constants bounds the ratio omega / (r/R)**k.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _multigrid
+from . import _multigrid, _output
 from .exponent import DomainError, _as_nu
 
 FULL_ARC = "full_arc"
@@ -45,7 +44,8 @@ CG_RTOL = 1e-2
 
 @dataclass(frozen=True)
 class MeasureProblem:
-    """Discrete p-harmonic measure problem on a polar grid.
+    """Discrete p-harmonic measure problem on a polar grid whose n_r radii
+    are logarithmically spaced from rmin_frac * R to R.
 
     arc_target selects the Dirichlet data: FULL_ARC puts 1 on the whole arc,
     INNER_ARC on the sub-arc |phi| <= pi/(4 nu) only (data jumps get 1/2).
@@ -56,7 +56,6 @@ class MeasureProblem:
     R: float = 1.0
     n_r: int = 256
     n_phi: int = 256
-    radial_spacing: str = "logarithmic"  # or "uniform"
     eps_reg: float = 1e-6
     tol: float = 1e-8
     max_iter: int = 4000
@@ -77,8 +76,6 @@ class MeasureProblem:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
         if not 0.0 < self.rmin_frac < 1.0:
             raise DomainError(f"rmin_frac must lie in (0, 1), got {self.rmin_frac}")
-        if self.radial_spacing not in ("logarithmic", "uniform"):
-            raise DomainError(f"unknown radial spacing {self.radial_spacing!r}")
         if self.arc_target not in (FULL_ARC, INNER_ARC):
             raise DomainError(f"unknown arc target {self.arc_target!r}")
 
@@ -119,22 +116,23 @@ class MeasureSolution:
     def to_csv(self, path) -> None:
         """r, phi, omega triples with '#' header comments, one row per node.
 
-        The reprs of r and phi are formatted once per grid line and each
-        radius's rows are written as they are formatted, so no whole-file
-        string is built; every value is the repr of a Python float.
+        The reprs of r and phi are formatted once per grid line, and each
+        radius's rows are formatted from that radius's own floats and go to
+        the file as one chunk, so neither a whole-file string nor a
+        whole-field list of floats is built; every value is the repr of a
+        Python float.
         """
         pr = self.problem
+        heads = [repr(v) + "," for v in self.r.tolist()]
         phis = [repr(v) for v in self.phi.tolist()]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                f"# nu = {pr.nu!r}\n# p = {pr.p!r}\n# R = {pr.R!r}\n"
-                f"# arc_target = {pr.arc_target}\nr,phi,omega\n"
-            )
-            for rv, row in zip(self.r.tolist(), self.omega.tolist()):
-                head = repr(rv) + ","
-                fh.write("".join(
-                    f"{head}{ph},{om!r}\n" for ph, om in zip(phis, row)
-                ))
+        _output.write_table(
+            path,
+            [("nu", repr(pr.nu)), ("p", repr(pr.p)), ("R", repr(pr.R)),
+             ("arc_target", pr.arc_target)],
+            ["r", "phi", "omega"],
+            ("".join(f"{head}{ph},{om!r}\n" for ph, om in zip(phis, row.tolist()))
+             for head, row in zip(heads, self.omega)),
+        )
 
     def summary(self) -> dict:
         pr = self.problem
@@ -143,7 +141,7 @@ class MeasureSolution:
             "p": pr.p,
             "R": pr.R,
             "grid": [pr.n_r, pr.n_phi],
-            "radial_spacing": pr.radial_spacing,
+            "radial_spacing": "logarithmic",  # every grid is; the key stays for readers
             "eps_reg": pr.eps_reg,
             "tolerance": pr.tol,
             "max_iter": pr.max_iter,
@@ -175,11 +173,8 @@ class SlopeFit:
 def _grids(problem: MeasureProblem):
     pr = problem
     rmin = pr.rmin_frac * pr.R
-    if pr.radial_spacing == "logarithmic":
-        r = rmin * (pr.R / rmin) ** np.linspace(0.0, 1.0, pr.n_r)
-        r[-1] = pr.R
-    else:
-        r = np.linspace(rmin, pr.R, pr.n_r)
+    r = rmin * (pr.R / rmin) ** np.linspace(0.0, 1.0, pr.n_r)
+    r[-1] = pr.R
     alpha = pr.half_aperture
     phi = np.linspace(-alpha, alpha, pr.n_phi)
     return r, phi
@@ -484,6 +479,4 @@ def write_summary_json(solution: MeasureSolution, path, extra: dict | None = Non
     data = solution.summary()
     if extra:
         data.update(extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _output.write_json(path, data)

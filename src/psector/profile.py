@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _output
 from .exponent import (
     DomainError,
     _as_nu,
@@ -355,10 +356,6 @@ class AngularProfile:
     def half_aperture(self) -> float:
         return math.pi / (2.0 * self.nu)
 
-    @property
-    def is_inf(self) -> bool:
-        return self.p == math.inf
-
     def f_exact(self, phi: float) -> float:
         return self.evaluator.eval(phi)[0]
 
@@ -473,42 +470,18 @@ def eval_u_exact(point: PolarPoint, prof: AngularProfile) -> float:
 
 def write_profile_csv(prof: AngularProfile, path) -> None:
     """CSV table with '#'-prefixed header comments (phi, theta, f, fprime)."""
-    p_str = "inf" if prof.p == math.inf else repr(prof.p)
-    lines = [
-        f"# nu = {prof.nu!r}",
-        f"# p = {p_str}",
-        f"# k = {prof.k!r}",
-        f"# case = {prof.case}",
-        f"# c = {prof.c!r}",
-        "phi,theta,f,fprime",
-    ]
-    for i in range(len(prof.phi)):
-        lines.append(
-            f"{float(prof.phi[i])!r},{float(prof.theta[i])!r},"
-            f"{float(prof.f[i])!r},{float(prof.fprime[i])!r}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _output.write_table(
+        path,
+        [("nu", repr(prof.nu)), ("p", "inf" if prof.p == math.inf else repr(prof.p)),
+         ("k", repr(prof.k)), ("case", prof.case), ("c", repr(prof.c))],
+        ["phi", "theta", "f", "fprime"],
+        [f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(
+            prof.phi.tolist(), prof.theta.tolist(), prof.f.tolist(), prof.fprime.tolist())],
+    )
 
 
 def read_profile_csv(path):
-    """Inverse of write_profile_csv: (meta dict, structured column arrays)."""
-    meta = {}
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-            elif not line.startswith("phi,"):
-                rows.append([float(x) for x in line.split(",")])
-    cols = np.array(rows)
-    return meta, {
-        "phi": cols[:, 0],
-        "theta": cols[:, 1],
-        "f": cols[:, 2],
-        "fprime": cols[:, 3],
-    }
+    """Inverse of write_profile_csv: (meta dict, column arrays by name)."""
+    meta, columns, rows = _output.read_table(path)
+    cols = np.array([[float(x) for x in row] for row in rows])
+    return meta, {name: cols[:, i] for i, name in enumerate(columns)}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from psector import measure
-from psector.cli import main
+from psector.cli import CliConfig, main
+from psector.exponent import DomainError
 from psector.experiments import MC_WALKS, run_measure_experiment
 from psector.profile import read_profile_csv
 
@@ -250,6 +251,15 @@ class TestConfig:
                                "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == 2
         assert f"{cfg}:2: n_r must be int, got 'abc'" in err
+
+    def test_every_field_is_a_typed_key(self, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("n_r = 64\nn_phi = 65\nsamples = 33\ntol = 1e-9\n"
+                       "eps_reg = 1e-7\nmax_iter = 10\nseed = 3\nout_dir = out\n")
+        assert CliConfig.from_file(cfg) == CliConfig(64, 65, 33, 1e-9, 1e-7, 10, 3, "out")
+        cfg.write_text("tol = abc\n")
+        with pytest.raises(DomainError, match=r"all\.cfg:1: tol must be float, got 'abc'$"):
+            CliConfig.from_file(cfg)
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "absent.cfg"

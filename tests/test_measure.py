@@ -172,9 +172,8 @@ class TestSolveMeasure:
         assert starved.summary()["cg_iterations_max"] == 1
 
     def test_summary_describes_the_problem(self):
-        pr = MeasureProblem(nu=2.0, p=3.0, R=1.5, n_r=24, n_phi=25, radial_spacing="uniform",
-                            eps_reg=1e-5, tol=1e-7, max_iter=5, arc_target=INNER_ARC,
-                            rmin_frac=1e-2)
+        pr = MeasureProblem(nu=2.0, p=3.0, R=1.5, n_r=24, n_phi=25, eps_reg=1e-5,
+                            tol=1e-7, max_iter=5, arc_target=INNER_ARC, rmin_frac=1e-2)
         data = solve_measure(pr).summary()
         want = dataclasses.asdict(pr)
         want["grid"] = [want.pop("n_r"), want.pop("n_phi")]
@@ -197,8 +196,6 @@ class TestSolveMeasure:
             MeasureProblem(nu=1.0, p=2.0, n_r=4)
         with pytest.raises(DomainError):
             MeasureProblem(nu=1.0, p=2.0, eps_reg=0.0)
-        with pytest.raises(DomainError):
-            MeasureProblem(nu=1.0, p=2.0, radial_spacing="geometric")
         for bad in (dict(R=math.nan), dict(R=math.inf), dict(R=-1.0),
                     dict(eps_reg=math.nan), dict(eps_reg=math.inf),
                     dict(tol=0.0), dict(tol=math.nan), dict(tol=-1e-8),
@@ -206,13 +203,6 @@ class TestSolveMeasure:
                     dict(rmin_frac=1.5), dict(rmin_frac=math.nan)):
             with pytest.raises(DomainError):
                 MeasureProblem(nu=1.0, p=2.0, **bad)
-
-    def test_uniform_spacing_supported(self):
-        sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=48, n_phi=49,
-                                           radial_spacing="uniform"))
-        assert sol.converged
-        fit = fit_slope(sol, 0.0, (0.1, 0.5))
-        assert fit.exponent == pytest.approx(1.0, rel=0.08)
 
     def test_eps_reg_insensitivity(self):
         # fitted exponent must move < 1% when the regularization drops 10x
@@ -406,7 +396,7 @@ class TestWalkOnSpheres:
 class TestFieldCsv:
     @pytest.mark.parametrize("problem", [
         MeasureProblem(nu=1.0, p=2.0, R=2.5, n_r=17, n_phi=23, arc_target=INNER_ARC),
-        MeasureProblem(nu=2.0, p=3.0, n_r=24, n_phi=19, radial_spacing="uniform"),
+        MeasureProblem(nu=2.0, p=3.0, n_r=24, n_phi=19),
     ])
     def test_bytes_match_reference_writer(self, tmp_path, problem):
         sol = solve_measure(problem)
