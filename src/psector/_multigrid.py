@@ -205,7 +205,8 @@ def pcg(u, levels, rtol) -> int:
 
     Rows and columns 0 and -1 of u are Dirichlet data and stay unchanged.
     Stops when the residual's 2-norm falls to rtol times its value at u;
-    returns the number of conjugate-gradient iterations.
+    returns the number of CG iterations, or MAX_CG if it misses the target or
+    breaks down (r . z or p . A p not positive, as at p = 20).
     """
     level = levels[0]
     r = apply(level, u)
@@ -219,8 +220,10 @@ def pcg(u, levels, rtol) -> int:
     q = np.zeros_like(u)
     tmp = np.empty_like(u)
     for it in range(1, MAX_CG + 1):
-        apply(level, p, q)
-        alpha = rz / dot(p, q)
+        pq = dot(p, apply(level, p, q))
+        if not (rz > 0.0 and pq > 0.0):
+            return MAX_CG
+        alpha = rz / pq
         np.multiply(p, alpha, out=tmp)
         u += tmp
         q *= alpha

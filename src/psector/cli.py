@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -48,7 +49,8 @@ class CliConfig:
     @classmethod
     def from_file(cls, path) -> "CliConfig":
         """Defaults overridden by the file's key = value lines; each value is
-        converted to the type of its field's default."""
+        converted to the type of its field's default.  A '#' that starts the
+        line or follows whitespace starts a comment; out_dir = run#1 keeps it."""
         cfg = cls()
         kinds = {f.name: type(f.default) for f in fields(cls)}
         try:
@@ -57,7 +59,7 @@ class CliConfig:
         except OSError as exc:
             raise DomainError(f"{path}: cannot read config file: {exc.strerror}") from None
         for lineno, line in enumerate(lines, 1):
-            line = line.split("#", 1)[0].strip()
+            line = re.sub(r"(^|\s)#.*", "", line).strip()
             if not line:
                 continue
             key, sep, val = line.partition("=")
@@ -185,13 +187,12 @@ def cmd_measure(args) -> int:
     stem = f"measure_{args.nu:g}_{args.p:g}" + ("_inner" if args.inner_arc else "")
     sol = solve_measure(problem)
     k = radial_exponent(args.nu, args.p)
-    window = (0.05 * args.R, 0.4 * args.R)
-    fit = fit_slope(sol, 0.0, window)
-    lo, hi = comparability_constants(sol, k, REGION_S2NU, (0.02 * args.R, 0.9 * args.R))
+    fit = fit_slope(sol)
+    lo, hi = comparability_constants(sol, k, REGION_S2NU)
     extra = {
         "k": k,
         "slope": fit.exponent,
-        "slope_window": list(window),
+        "slope_window": list(fit.r_window),
         "slope_rms": fit.rms,
         "ratio_min": lo,
         "ratio_max": hi,

@@ -265,9 +265,7 @@ def run_growth_bounds(nu: float, p: float, n_r: int = 256, n_phi: int = 256,
     bar = solve_measure(MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi,
                                        arc_target=INNER_ARC))
     rep.check("inner-arc solve converged", bar.converged, f"iterations {bar.iterations}")
-    R = bar.problem.R
-    lo_b, hi_b = comparability_constants(bar, k, REGION_S2NU,
-                                         r_window=(0.02 * R, 0.5 * R))
+    lo_b, hi_b = comparability_constants(bar, k, REGION_S2NU, r_window=(0.02, 0.5))
     rep.check("lower growth certificate positive on S_2nu up to R/2",
               lo_b > 0 and math.isfinite(hi_b),
               f"ratio in [{lo_b:.4f}, {hi_b:.4f}]")

@@ -148,9 +148,11 @@ class TestMeasureCommand:
                              "--n-r", "48", "--n-phi", "49", "--out-dir", str(tmp_path))
         assert code == 0
         data = json.loads((tmp_path / "measure_1_2.json").read_text())
+        # both windows are fractions of R; the summary states the slope's in r
         lo, hi = measure.comparability_constants(solved[0], data["k"], measure.REGION_S2NU,
-                                                 (0.04, 1.8))
+                                                 (0.02, 0.9))
         assert (data["ratio_min"], data["ratio_max"]) == (lo, hi)
+        assert data["slope_window"] == [0.1, 0.8]
 
     @pytest.mark.parametrize("flags", [["--p", "3"], ["--p", "2", "--inner-arc"]])
     def test_mc_check_refused_before_solving(self, capsys, tmp_path, monkeypatch, flags):
@@ -292,6 +294,12 @@ class TestConfig:
         assert code == 0
         _, cols = read_profile_csv(tmp_path / "profile_1_2.csv")
         assert len(cols["phi"]) == 33
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("out_dir = cfgt/run#1\nseed = 4 #trailing\n\t# indented comment\n")
+        cfg_read = CliConfig.from_file(cfg)
+        assert (cfg_read.out_dir, cfg_read.seed) == ("cfgt/run#1", 4)
 
 
 class TestDeterminism:

@@ -15,6 +15,8 @@ from psector.measure import (
     REGION_SNU,
     MeasureProblem,
     MeasureSolution,
+    _cell_energy,
+    _grids,
     _side_distance,
     comparability_constants,
     fit_slope,
@@ -22,6 +24,7 @@ from psector.measure import (
     solve_measure,
     write_summary_json,
 )
+from psector.verify import MEASURE_CASES
 
 
 def exact_half_disk(r, phi=0.0, nu=1.0, terms=400):
@@ -157,6 +160,44 @@ class TestSolveMeasure:
             assert first > 0 and set(cont.p_history[:first]) == {2.0}
             assert cont.energy_history[:first] == lin.energy_history[:first]
             assert cont.energy_history[first] != lin.energy_history[first]
+
+    @pytest.mark.parametrize("nu, p", [case[:2] for case in MEASURE_CASES] + [(1.0, 1.1)])
+    def test_final_stage_energy_never_rises(self, nu, p):
+        sol = solve_measure(MeasureProblem(nu=nu, p=p, n_r=128, n_phi=128))
+        assert sol.converged
+        energy = [e for e, q in zip(sol.energy_history, sol.p_history) if q == p]
+        assert len(energy) > 1
+        for before, after in zip(energy, energy[1:]):
+            assert after - before <= 1e-12 * abs(before)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_operator_is_the_energy_gradient(self, p):
+        # at the coefficients frozen at u, the 5-point operator applied to u
+        # is the gradient of the energy at u: central differences of E
+        r, phi = _grids(MeasureProblem(nu=1.0, p=p, n_r=16, n_phi=16))
+        dphi = phi[1] - phi[0]
+        eps2 = 1e-4
+        u = np.random.default_rng(7).random((16, 16))
+        _, cE, cN = _cell_energy(u, r, dphi, p, eps2)
+        grad = _multigrid.apply(_multigrid.hierarchy(cE, cN)[0], u)
+        h = 1e-6
+        fd = np.zeros_like(u)
+        for i in range(1, 15):
+            for j in range(1, 15):
+                up, um = u.copy(), u.copy()
+                up[i, j] += h
+                um[i, j] -= h
+                fd[i, j] = (_cell_energy(up, r, dphi, p, eps2)[0]
+                            - _cell_energy(um, r, dphi, p, eps2)[0]) / (2 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+    def test_cg_breakdown_is_a_capped_cycle(self):
+        # at p = 20 the frozen coefficients span about 1e-100 to 1e9 and the
+        # CG recurrence breaks down in late cycles; the solve reports it
+        sol = solve_measure(MeasureProblem(nu=1.0, p=20.0, n_r=48, n_phi=48, max_iter=400))
+        assert not sol.converged
+        assert sol.cg_capped > 0
+        assert np.all(np.isfinite(sol.omega))
 
     def test_capped_cg_is_reported(self, monkeypatch):
         sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=64, n_phi=64))
