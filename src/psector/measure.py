@@ -235,7 +235,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     """Lagged-diffusivity solve of the regularized p-Dirichlet minimizer.
 
     Stops when the max update over a coefficient cycle drops below
-    problem.tol; non-convergence within max_iter cycles is reported on the
+    problem.tol and that cycle's CG solve was not capped; non-convergence within max_iter cycles is reported on the
     returned solution rather than raised.
     """
     pr = problem
@@ -285,7 +285,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                     u = uold + tau * du
                 du_prev = du
             delta = tau * float(np.max(np.abs(du)))
-            if delta < tol:
+            # a capped or broken-down CG solve can leave u unmoved, so a small
+            # update after one says nothing about convergence
+            if delta < tol and cg_history[-1] < _multigrid.MAX_CG:
                 return it, delta, True
         return budget, delta, False
 

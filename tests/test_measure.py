@@ -194,10 +194,23 @@ class TestSolveMeasure:
     def test_cg_breakdown_is_a_capped_cycle(self):
         # at p = 20 the frozen coefficients span about 1e-100 to 1e9 and the
         # CG recurrence breaks down in late cycles; the solve reports it
+        # instead of raising ZeroDivisionError
         sol = solve_measure(MeasureProblem(nu=1.0, p=20.0, n_r=48, n_phi=48, max_iter=400))
         assert not sol.converged
         assert sol.cg_capped > 0
         assert np.all(np.isfinite(sol.omega))
+
+    def test_capped_cycle_never_ends_a_stage(self, monkeypatch):
+        # a CG solve that breaks down in its first iteration returns MAX_CG
+        # with u unmoved; the zero update must not count as convergence
+        def stalled(u, levels, rtol):
+            return _multigrid.MAX_CG
+
+        monkeypatch.setattr(_multigrid, "pcg", stalled)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=24, n_phi=24, max_iter=6))
+        assert not sol.converged
+        assert sol.iterations == 6 and sol.cg_capped == 6
+        assert sol.p_history == [2.0] * 6
 
     def test_capped_cg_is_reported(self, monkeypatch):
         sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=64, n_phi=64))
