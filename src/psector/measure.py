@@ -235,8 +235,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     """Lagged-diffusivity solve of the regularized p-Dirichlet minimizer.
 
     Stops when the max update over a coefficient cycle drops below
-    problem.tol and that cycle's CG solve was not capped; non-convergence within max_iter cycles is reported on the
-    returned solution rather than raised.
+    problem.tol and that cycle's CG solve was not capped; non-convergence
+    within max_iter cycles is reported on the returned solution rather than
+    raised.
     """
     pr = problem
     r, phi = _grids(pr)
