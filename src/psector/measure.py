@@ -11,12 +11,16 @@ current iterate and solves the linear equation, warm-started, by conjugate
 gradients preconditioned with one geometric-multigrid V-cycle per step
 (_multigrid), to CG_RTOL times the cycle's starting residual.  For p <= 2 the
 frozen quadratic majorizes the energy, so no cycle raises it.
-Robustness measures around the plain Picard loop, all no-ops in the benign
-cases: continuation in p from the linear problem (steps of at most 1,
-warm-started) and adaptive damping of the Picard step triggered by the one
-observed instability signature, period-2 update flips at data-jump nodes.
-Each cycle records the discrete energy of the stage being solved (its own p),
-the stage p and the number of CG iterations, as convergence diagnostics.
+Around the plain Picard loop: continuation in p from the linear problem
+(steps of at most 1, warm-started); in p > 2 stages, adaptive damping of the
+Picard step triggered by the one observed instability signature, period-2
+update flips at data-jump nodes; in p < 2 stages, where plain Picard
+converges only linearly, Anderson mixing of the last ANDERSON_DEPTH steps,
+each mixed iterate taken only if its energy is at most that of the plain
+Picard result, so the energy still never rises.  A solve gives up after
+CAPPED_STOP consecutive capped CG solves.  Each cycle records the discrete
+energy of the stage being solved (its own p), the stage p, the number of CG
+iterations and whether a mixed iterate was taken, as convergence diagnostics.
 
 mc_harmonic_measure is an independent walk-on-spheres Monte Carlo oracle for
 the p = 2 case.  fit_slope extracts the radial decay exponent from a solved
@@ -42,6 +46,13 @@ REGION_SNU = "S_nu"
 # acceptance cases 1e-3 took 93 Picard cycles instead of 96, with 27% more CG
 # iterations (334 against 263) and 12% more time
 CG_RTOL = 1e-2
+# Anderson mixing depth of the p < 2 Picard stages, two fields per unit:
+# depths 1 to 5 took 15, 12, 11, 10 and 10 final-stage cycles on (1, 1.5) at
+# 256^2 (22 unmixed), and 40, 40, 38, 39 and 38 on (1, 1.1) at 128^2 (126)
+ANDERSON_DEPTH = 3
+# a solve stops after this many consecutive capped CG solves (stop_reason
+# "cg_capped"); the converging cases have none
+CAPPED_STOP = 5
 
 
 @dataclass(frozen=True)
@@ -95,11 +106,17 @@ class MeasureSolution:
     iterations: int
     final_update: float
     converged: bool
+    # "converged", "max_iter" or "cg_capped"; None on a hand-built solution
+    stop_reason: str | None = None
     energy_history: list = field(default_factory=list)
     # per Picard cycle, parallel to energy_history: the stage p and the CG
     # iterations of the cycle's inner solve
     p_history: list = field(default_factory=list)
     cg_history: list = field(default_factory=list)
+    # per cycle: True where the Anderson-mixed iterate was taken, False where
+    # the energy test refused it, None where none was tried (p >= 2 stages
+    # and the first cycle of a p < 2 stage)
+    anderson_history: list = field(default_factory=list)
     # cycles whose CG solve ran all _multigrid.MAX_CG iterations, which is
     # where pcg stops when it does not reach CG_RTOL
     cg_capped: int = 0
@@ -152,8 +169,11 @@ class MeasureSolution:
             "iterations": self.iterations,
             "final_update": self.final_update,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "cg_iterations_max": max(self.cg_history, default=0),
             "cg_capped": self.cg_capped,
+            "anderson_taken": self.anderson_history.count(True),
+            "anderson_refused": self.anderson_history.count(False),
         }
 
 
@@ -231,13 +251,31 @@ def _cell_energy(u, r, dphi, p, eps2):
     return energy, cE, cN
 
 
+def _anderson_mix(g, f, dF, dG):
+    """g - dG gamma, with gamma the least-squares fit of the residual f = g - u
+    by the columns of dF: one Anderson step of the fixed-point map u -> g
+    (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)).  The Gram system of the
+    at most ANDERSON_DEPTH columns is formed from einsum dots."""
+    gram = np.einsum("kij,lij->kl", dF, dF)
+    gamma = np.linalg.lstsq(gram, np.einsum("kij,ij->k", dF, f), rcond=None)[0]
+    mixed = np.einsum("k,kij->ij", gamma, dG)
+    return np.subtract(g, mixed, out=mixed)
+
+
 def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     """Lagged-diffusivity solve of the regularized p-Dirichlet minimizer.
 
-    Stops when the max update over a coefficient cycle drops below
-    problem.tol and that cycle's CG solve was not capped; non-convergence
-    within max_iter cycles is reported on the returned solution rather than
-    raised.
+    Stops when the max plain Picard update of a cycle, max|g - u| before any
+    mixing, drops below problem.tol and that cycle's CG solve was not capped
+    (stop_reason "converged"), after CAPPED_STOP consecutive capped CG solves
+    ("cg_capped"), or after max_iter cycles ("max_iter").  Non-convergence is
+    reported on the returned solution rather than raised.
+
+    A p < 2 stage mixes each cycle's clipped Picard result g with the last
+    ANDERSON_DEPTH differences (_anderson_mix) and takes the mixed iterate
+    only if its energy is at most g's; otherwise it takes g and restarts the
+    history.  The taken iterate's energy and frozen coefficients carry into
+    the next cycle, so a mixing cycle costs one extra _cell_energy call.
     """
     pr = problem
     r, phi = _grids(pr)
@@ -250,16 +288,31 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     u[1:-1, 1:-1] = (r[1:-1, None] / pr.R) ** pr.nu * shape * u[-1, 1:-1].clip(0.0, 1.0)
 
     eps2 = pr.eps_reg**2
-    history, p_history, cg_history = [], [], []
+    history, p_history, cg_history, anderson_history = [], [], [], []
 
     def picard(p_stage: float, tol: float, budget: int):
-        """Damped lagged-diffusivity cycles at one exponent; updates u."""
+        """Lagged-diffusivity cycles at one exponent; updates u.  Returns the
+        cycles run, the last plain update and the stop reason."""
         nonlocal u
         tau = 1.0
         delta = math.inf
         du_prev = None
+        capped_run = 0
+        mixing = p_stage < 2.0 and ANDERSON_DEPTH > 0
+        if mixing:
+            # Anderson history: column k holds f (and g) of a cycle minus
+            # that of the cycle before, where g is the clipped Picard result
+            # and f = g - u; slot `head` holds -f, -g of the last cycle until
+            # the next cycle completes it
+            dF = np.empty((ANDERSON_DEPTH,) + u.shape)
+            dG = np.empty_like(dF)
+            cols = head = 0
+        carried = None
         for it in range(1, budget + 1):
-            energy, cE, cN = _cell_energy(u, r, dphi, p_stage, eps2)
+            if carried is None:
+                carried = _cell_energy(u, r, dphi, p_stage, eps2)
+            energy, cE, cN = carried
+            carried = None
             history.append(energy)
             levels = _multigrid.hierarchy(cE, cN)
             del cE, cN  # the levels hold their own padded copies
@@ -271,7 +324,31 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             del levels
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
-            if p_stage != 2.0:
+            step = float(np.max(np.abs(du)))
+            taken = None
+            if mixing:
+                if it > 1:
+                    dF[head] += du
+                    dG[head] += u
+                    head = (head + 1) % ANDERSON_DEPTH
+                    cols = min(cols + 1, ANDERSON_DEPTH)
+                g = u
+                if cols:
+                    # taken only if it does not raise the energy above g's
+                    mixed = _anderson_mix(g, du, dF[:cols], dG[:cols])
+                    np.clip(mixed, 0.0, 1.0, out=mixed)
+                    trial = _cell_energy(mixed, r, dphi, p_stage, eps2)
+                    carried = _cell_energy(g, r, dphi, p_stage, eps2)
+                    taken = trial[0] <= carried[0]
+                    if taken:
+                        u, carried = mixed, trial
+                    else:
+                        cols = head = 0
+                    del mixed, trial
+                np.negative(du, out=dF[head])
+                np.negative(g, out=dG[head])
+                del g, du  # not held through the next cycle's solve
+            elif p_stage > 2.0:
                 # damp the Picard step where it flips with period 2 (the
                 # update direction reverses)
                 flip = 0.0
@@ -285,12 +362,17 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 if tau < 1.0:
                     u = uold + tau * du
                 du_prev = du
-            delta = tau * float(np.max(np.abs(du)))
+            anderson_history.append(taken)
+            delta = tau * step
             # a capped or broken-down CG solve can leave u unmoved, so a small
             # update after one says nothing about convergence
-            if delta < tol and cg_history[-1] < _multigrid.MAX_CG:
-                return it, delta, True
-        return budget, delta, False
+            capped = cg_history[-1] >= _multigrid.MAX_CG
+            capped_run = capped_run + 1 if capped else 0
+            if delta < tol and not capped:
+                return it, delta, "converged"
+            if capped_run == CAPPED_STOP:
+                return it, delta, "cg_capped"
+        return budget, delta, "max_iter"
 
     # continuation in p from the linear case, stepping by at most 1, so the
     # strongly nonlinear stages start from a nearby solution and the
@@ -305,17 +387,18 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     elif pr.p < 2.0:
         stages.append(pr.p)
     total = 0
-    converged = False
     delta = math.inf
     for stage in stages:
         final = stage == stages[-1]
         tol = pr.tol if final else max(100.0 * pr.tol, 1e-7)
         left = pr.max_iter - total
         if left <= 0:
-            converged = False
+            stop = "max_iter"
             break
-        it, delta, converged = picard(stage, tol, left)
+        it, delta, stop = picard(stage, tol, left)
         total += it
+        if stop != "converged":
+            break
     return MeasureSolution(
         problem=pr,
         r=r,
@@ -323,10 +406,12 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         omega=u,
         iterations=total,
         final_update=delta,
-        converged=converged,
+        converged=stop == "converged",
+        stop_reason=stop,
         energy_history=history,
         p_history=p_history,
         cg_history=cg_history,
+        anderson_history=anderson_history,
         cg_capped=sum(its >= _multigrid.MAX_CG for its in cg_history),
     )
 

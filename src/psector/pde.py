@@ -194,8 +194,9 @@ def profile_corner_bands(prof: AngularProfile, band_eps: float = RIDGE_BAND_EPS)
     return [(x - band_eps, x + band_eps) for x in prof.corners]
 
 
-def _in_bands(phi: float, bands) -> bool:
-    return any(lo <= phi <= hi for lo, hi in bands)
+def _in_bands(phi: float, bands, reach: float = 0.0) -> bool:
+    """Whether [phi - reach, phi + reach] overlaps any (lo, hi) band."""
+    return any(phi - reach <= hi and phi + reach >= lo for lo, hi in bands)
 
 
 def separation_report(prof: AngularProfile, n_samples: int | None = None,
@@ -222,8 +223,8 @@ def separation_report(prof: AngularProfile, n_samples: int | None = None,
     count = 0
     for i in idx:
         x = float(phi[i])
-        # the difference stencil must not straddle an excluded corner
-        if _in_bands(x - h, bands) or _in_bands(x, bands) or _in_bands(x + h, bands):
+        # the difference stencil [x - h, x + h] must not straddle an excluded corner
+        if _in_bands(x, bands, h):
             continue
         if ridge_blowup:
             # f'' ~ |phi|^(-2/3) at the ridge; proportional steps keep the

@@ -92,6 +92,8 @@ class TestMeasureCommand:
         assert code == 0
         data = json.loads((tmp_path / "measure_1_2.json").read_text())
         assert data["converged"] is True
+        assert data["stop_reason"] == "converged"
+        assert data["anderson_taken"] == data["anderson_refused"] == 0
         assert data["slope"] == pytest.approx(1.0, rel=0.08)
         assert (tmp_path / "measure_1_2.csv").exists()
 
@@ -114,6 +116,8 @@ class TestMeasureCommand:
         # summary is still written, flagged unconverged
         data = json.loads((tmp_path / "measure_1_3.json").read_text())
         assert data["converged"] is False
+        assert data["stop_reason"] == "max_iter"
+        assert "stopped on max_iter after 2 of 2 cycles" in err
 
     def test_mc_check_block(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"

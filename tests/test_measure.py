@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from psector import _multigrid
+from psector import _multigrid, measure
 from psector.exponent import DomainError, SectorSpec
 from psector.measure import (
+    CAPPED_STOP,
     FULL_ARC,
     INNER_ARC,
     REGION_S2NU,
@@ -197,20 +198,40 @@ class TestSolveMeasure:
         # instead of raising ZeroDivisionError
         sol = solve_measure(MeasureProblem(nu=1.0, p=20.0, n_r=48, n_phi=48, max_iter=400))
         assert not sol.converged
+        assert sol.stop_reason == "cg_capped"
         assert sol.cg_capped > 0
         assert np.all(np.isfinite(sol.omega))
 
     def test_capped_cycle_never_ends_a_stage(self, monkeypatch):
         # a CG solve that breaks down in its first iteration returns MAX_CG
-        # with u unmoved; the zero update must not count as convergence
+        # with u unmoved; the zero update must not count as convergence, and
+        # CAPPED_STOP such solves in a row end the solve, still in its first
+        # stage, before max_iter
         def stalled(u, levels, rtol):
             return _multigrid.MAX_CG
 
         monkeypatch.setattr(_multigrid, "pcg", stalled)
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=24, n_phi=24, max_iter=6))
-        assert not sol.converged
-        assert sol.iterations == 6 and sol.cg_capped == 6
-        assert sol.p_history == [2.0] * 6
+        assert not sol.converged and sol.stop_reason == "cg_capped"
+        assert sol.iterations == sol.cg_capped == CAPPED_STOP == 5
+        assert sol.p_history == [2.0] * 5
+        assert sol.summary()["stop_reason"] == "cg_capped"
+
+    def test_capped_stop_counts_consecutive_solves(self, monkeypatch):
+        # CAPPED_STOP - 1 stalled solves in a row neither stop the solve nor
+        # end its first stage; the solves after them converge it
+        pcg = _multigrid.pcg
+        calls = []
+
+        def stalled_first(u, levels, rtol):
+            calls.append(None)
+            return _multigrid.MAX_CG if len(calls) < CAPPED_STOP else pcg(u, levels, rtol)
+
+        monkeypatch.setattr(_multigrid, "pcg", stalled_first)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=24, n_phi=24))
+        assert sol.converged and sol.stop_reason == "converged"
+        assert sol.cg_capped == CAPPED_STOP - 1
+        assert sol.p_history[:CAPPED_STOP] == [2.0] * CAPPED_STOP
 
     def test_capped_cg_is_reported(self, monkeypatch):
         sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=64, n_phi=64))
@@ -238,6 +259,7 @@ class TestSolveMeasure:
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=32, n_phi=32, max_iter=3))
         assert not sol.converged
         assert sol.iterations == 3
+        assert sol.stop_reason == sol.summary()["stop_reason"] == "max_iter"
 
     def test_problem_validation(self):
         with pytest.raises(DomainError):
@@ -276,6 +298,69 @@ class TestSolveMeasure:
             assert sol.converged
             fits.append(fit_slope(sol, 0.0, (0.05, 0.4)).exponent)
         assert abs(fits[1] - fits[0]) / abs(fits[0]) <= 0.02
+
+
+class TestAndersonMixing:
+    def test_overshooting_mix_keeps_descent(self, monkeypatch):
+        # u_old + 2 (g - u_old) = g + f overshoots the Picard step.  Where it
+        # raises the energy above g's the energy test refuses it; where plain
+        # Picard contracts slowly it lands nearer the fixed point than g and
+        # is taken.  Either way the final-stage energy never rises
+        monkeypatch.setattr(measure, "_anderson_mix", lambda g, f, dF, dG: g + f)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=1.5, n_r=64, n_phi=64))
+        assert sol.converged
+        final = [a for a, q in zip(sol.anderson_history, sol.p_history) if q == 1.5]
+        assert final[0] is None and False in final[1:]
+        assert sol.summary()["anderson_refused"] == final.count(False)
+        energy = [e for e, q in zip(sol.energy_history, sol.p_history) if q == 1.5]
+        for before, after in zip(energy, energy[1:]):
+            assert after - before <= 1e-12 * abs(before)
+
+    def test_energy_raising_mix_is_refused_every_time(self, monkeypatch):
+        # a checkerboard of amplitude 0.1 on the interior raises the energy
+        # of every iterate: each mix is refused, and the solve is plain
+        # Picard to the last bit
+        pr = MeasureProblem(nu=1.0, p=1.5, n_r=64, n_phi=64)
+
+        def rough(g, f, dF, dG):
+            out = g.copy()
+            out[1:-1, 1:-1] += 0.1 * (np.indices(g.shape).sum(axis=0) % 2)[1:-1, 1:-1]
+            return out
+
+        monkeypatch.setattr(measure, "_anderson_mix", rough)
+        refused = solve_measure(pr)
+        final = [a for a, q in zip(refused.anderson_history, refused.p_history) if q == 1.5]
+        assert final[0] is None and set(final[1:]) == {False}
+        assert refused.summary()["anderson_taken"] == 0
+        monkeypatch.setattr(measure, "ANDERSON_DEPTH", 0)
+        plain = solve_measure(pr)
+        assert refused.converged and plain.converged
+        assert refused.iterations == plain.iterations
+        assert np.array_equal(refused.omega, plain.omega)
+        assert refused.energy_history == plain.energy_history
+
+    def test_mixing_moves_cycles_not_the_field(self, monkeypatch):
+        pr = MeasureProblem(nu=1.0, p=1.5, n_r=64, n_phi=64)
+        mixed = solve_measure(pr)
+        monkeypatch.setattr(measure, "ANDERSON_DEPTH", 0)
+        plain = solve_measure(pr)
+        assert mixed.converged and plain.converged
+        assert set(plain.anderson_history) == {None}
+        assert True in mixed.anderson_history
+        assert np.max(np.abs(mixed.omega - plain.omega)) <= 1e-6
+        assert mixed.iterations < plain.iterations
+
+    def test_hard_p_below_2_case(self):
+        # ROADMAP's hard case: 130 cycles without mixing
+        sol = solve_measure(MeasureProblem(nu=1.0, p=1.1, n_r=128, n_phi=128))
+        assert sol.converged and sol.iterations <= 60
+
+    @pytest.mark.parametrize("nu, p", [case[:2] for case in MEASURE_CASES if case[1] >= 2.0])
+    def test_no_mixing_at_p_2_and_above(self, nu, p):
+        sol = solve_measure(MeasureProblem(nu=nu, p=p, n_r=64, n_phi=64))
+        assert sol.converged
+        assert sol.anderson_history == [None] * sol.iterations
+        assert sol.summary()["anderson_taken"] == sol.summary()["anderson_refused"] == 0
 
 
 class TestFitSlope:

@@ -133,6 +133,20 @@ class TestReports:
             assert rep.max_abs_residual <= 1e-3, (nu, p, rep.max_abs_residual)
             assert rep.sample_count >= 80
 
+    def test_plateau_corner_separation_order(self):
+        # (0.6, inf) has a plateau corner whose band is narrower than the
+        # table step at 1025 samples; a stencil straddling it read 0.32.
+        # With whole stencils kept out of the bands the residual is O(h^2)
+        res = {}
+        for n in (129, 257, 1025):
+            prof = build_profile(0.6, math.inf, n)
+            res[n] = (float(prof.phi[1] - prof.phi[0]),
+                      separation_report(prof).max_abs_residual)
+        for coarse, fine in ((129, 257), (257, 1025)):
+            (hc, rc), (hf, rf) = res[coarse], res[fine]
+            assert 0.75 <= (rc / rf) / (hc / hf) ** 2 <= 1.25, (coarse, fine, rc, rf)
+        assert res[1025][1] <= 1e-5
+
     def test_step_halving_order(self):
         prof = build_profile(2.0, 3.0, 257)
         r1 = polar_residual_report(prof, 20, step=1e-3).max_abs_residual
