@@ -12,6 +12,15 @@ red-black Gauss-Seidel sweep against it, for the equations
 
 relaxing the two colours in the given order.
 
+presmooth(u, system, rhs) is the V-cycle's pre-smoothing sweep, which starts
+from u = 0, and returns the residual it leaves.  Work whose result is known
+is skipped.  Colour 0 relaxes against zero neighbours, so it is u = rhs / s;
+colour 1 relaxes from zero, so its old value is not subtracted and added
+back.  The residual is zero on colour 1, whose equations that half-sweep
+has just solved, and on colour 0 rhs - s u cancels, leaving the neighbour
+sum; both hold in exact arithmetic, so the V-cycle is the same linear
+operator as with sor_sweep and a full residual.
+
 Each colour is updated as two strided sublattices, the odd and the even
 interior rows (u[i0::2, j0::2] against the neighbouring strided views of u),
 with contiguous per-sublattice copies of the coefficients and of the
@@ -50,19 +59,25 @@ def _pack(shape, coef, color):
     return blocks
 
 
-def _relax(u, block, rhs):
-    # same-colour nodes do not couple, so one vectorized update of a block
-    # equals the sequential one; the sums are grouped as in the masked
-    # reference sweep of the tests, so both agree bitwise
-    at_c, at_w, at_e, at_s, at_n, aW, aE, aS, aN, s = block
+def _neighbour_sum(u, block):
+    # aW u_W + aE u_E + aS u_S + aN u_N at a block's nodes, grouped as in the
+    # masked reference sweep of the tests, so both agree bitwise
+    _, at_w, at_e, at_s, at_n, aW, aE, aS, aN, _ = block
     nbr = aW * u[at_w]
     nbr += aE * u[at_e]
     t = aS * u[at_s]
     t += aN * u[at_n]
     nbr += t
-    nbr += rhs[at_c]
-    nbr /= s
-    uc = u[at_c]
+    return nbr
+
+
+def _relax(u, block, rhs):
+    # same-colour nodes do not couple, so one vectorized update of a block
+    # equals the sequential one
+    nbr = _neighbour_sum(u, block)
+    nbr += rhs[block[0]]
+    nbr /= block[-1]
+    uc = u[block[0]]
     nbr -= uc
     uc += nbr
 
@@ -89,3 +104,21 @@ def sor_sweep(u, system, rhs, colors=(0, 1)) -> None:
     for color in colors:
         for block in system[color]:
             _relax(u, block, rhs)
+
+
+def presmooth(u, system, rhs):
+    """sor_sweep(u, system, rhs) of a u that is zero, in place; returns rhs - A u.
+
+    The field equals that sweep's (up to the sign of a zero); the residual,
+    zero off colour 0, equals rhs - A u up to rounding.
+    """
+    for block in system[0]:
+        np.divide(rhs[block[0]], block[-1], out=u[block[0]])
+    for block in system[1]:
+        nbr = _neighbour_sum(u, block)
+        nbr += rhs[block[0]]
+        np.divide(nbr, block[-1], out=u[block[0]])
+    res = np.zeros_like(u)
+    for block in system[0]:
+        res[block[0]] = _neighbour_sum(u, block)
+    return res

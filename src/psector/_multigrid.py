@@ -26,7 +26,10 @@ level, at most COARSEST nodes per side, is solved with a dense inverse.
 Every level but the coarsest is smoothed by one red-black Gauss-Seidel sweep
 (_kernels.sor_sweep) before the coarse correction and one in the reverse
 colour order after it, so the V-cycle is a symmetric positive definite
-preconditioner.
+preconditioner.  The pre-smooth starts from zero, so _kernels.presmooth
+computes its first half-sweep as a division and its residual on one colour
+only, from the neighbour sums alone; in exact arithmetic the V-cycle is the
+same linear operator as with a full sweep and the residual f - A x.
 
 Inner products are numpy einsum reductions: np.dot and np.linalg.norm go
 through BLAS, whose thread pool costs milliseconds per call on a busy
@@ -35,6 +38,7 @@ machine, where einsum costs microseconds.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -173,6 +177,17 @@ def apply(level, x, out=None):
     return out
 
 
+def relative_residual(cE, cN, u) -> float:
+    """||A u - b||_2 / ||b||_2 on the interior nodes for the frozen system of
+    cE and cN (shaped as for hierarchy, which it does not call), where b is
+    what u's Dirichlet rows and columns contribute."""
+    level = Level(np.pad(cE, ((1, 1), (0, 0))), np.pad(cN, ((0, 0), (1, 1))), None, None)
+    data = u.copy()
+    data[1:-1, 1:-1] = 0.0
+    r, b = apply(level, u), apply(level, data)
+    return math.sqrt(dot(r, r) / dot(b, b))
+
+
 def vcycle(levels, f, depth=0):
     """One V-cycle for A x = f from x = 0; f and x vanish on the boundary."""
     level = levels[depth]
@@ -181,9 +196,7 @@ def vcycle(levels, f, depth=0):
         x[1:-1, 1:-1] = (level.inverse * f[1:-1, 1:-1].ravel()).sum(axis=1).reshape(
             f.shape[0] - 2, f.shape[1] - 2)
         return x
-    _kernels.sor_sweep(x, level.system, f, (0, 1))
-    res = apply(level, x)
-    np.subtract(f, res, out=res)
+    res = _kernels.presmooth(x, level.system, f)
     n_r, n_phi = f.shape
     coarse = levels[depth + 1].shape
     if coarse[0] < n_r:

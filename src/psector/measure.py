@@ -120,6 +120,9 @@ class MeasureSolution:
     # cycles whose CG solve ran all _multigrid.MAX_CG iterations, which is
     # where pcg stops when it does not reach CG_RTOL
     cg_capped: int = 0
+    # ||A(u) u - b||_2 / ||b||_2 at the returned field, the coefficients
+    # frozen at it with the problem's p; None on a hand-built solution
+    final_residual: float | None = None
 
     def ray_values(self, ray_angle: float) -> np.ndarray:
         """Field along a ray, linearly interpolated in phi between columns."""
@@ -174,6 +177,7 @@ class MeasureSolution:
             "cg_capped": self.cg_capped,
             "anderson_taken": self.anderson_history.count(True),
             "anderson_refused": self.anderson_history.count(False),
+            "final_residual": self.final_residual,
         }
 
 
@@ -276,6 +280,16 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     only if its energy is at most g's; otherwise it takes g and restarts the
     history.  The taken iterate's energy and frozen coefficients carry into
     the next cycle, so a mixing cycle costs one extra _cell_energy call.
+
+    At p = 2 the coefficient (g + eps^2)^0 is exactly 1, so the frozen system
+    depends on the grid alone: the p = 2 stage builds its multigrid hierarchy
+    once and reuses it on every cycle.  Every other stage builds one per
+    cycle, dropping the last before the next build.
+
+    final_residual is ||A(u) u - b||_2 / ||b||_2 at the returned field, with
+    A(u) the operator frozen at u with the problem's p and b from the
+    Dirichlet data.  It is recorded, not a stop test: one _cell_energy and
+    two operator applications, no hierarchy.
     """
     pr = problem
     r, phi = _grids(pr)
@@ -307,21 +321,23 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             dF = np.empty((ANDERSON_DEPTH,) + u.shape)
             dG = np.empty_like(dF)
             cols = head = 0
-        carried = None
+        carried = levels = None
         for it in range(1, budget + 1):
             if carried is None:
                 carried = _cell_energy(u, r, dphi, p_stage, eps2)
             energy, cE, cN = carried
             carried = None
             history.append(energy)
-            levels = _multigrid.hierarchy(cE, cN)
+            if levels is None:
+                levels = _multigrid.hierarchy(cE, cN)
             del cE, cN  # the levels hold their own padded copies
             uold = u.copy()
             cg_history.append(_multigrid.pcg(u, levels, CG_RTOL))
             p_history.append(p_stage)
-            # the next cycle builds its own levels; holding these while it
-            # does would keep two sets of packed coefficients alive
-            del levels
+            if p_stage != 2.0:
+                # the next cycle builds its own levels; holding these while
+                # it does would keep two sets of packed coefficients alive
+                levels = None
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
             step = float(np.max(np.abs(du)))
@@ -399,6 +415,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         total += it
         if stop != "converged":
             break
+    _, cE, cN = _cell_energy(u, r, dphi, pr.p, eps2)
     return MeasureSolution(
         problem=pr,
         r=r,
@@ -413,6 +430,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         cg_history=cg_history,
         anderson_history=anderson_history,
         cg_capped=sum(its >= _multigrid.MAX_CG for its in cg_history),
+        final_residual=_multigrid.relative_residual(cE, cN, u),
     )
 
 

@@ -110,3 +110,52 @@ def test_sweep_with_rhs_matches_reference(shape, colors):
     ref = reference_sweeps(u, coef, 50, rhs, colors)
     assert np.isfinite(ref).all()
     assert np.array_equal(v, ref)
+
+
+def reference_residual(u, aW, aE, aS, aN, rhs):
+    # rhs - A u written out node by node at the interior nodes
+    res = np.zeros_like(u)
+    for i in range(1, u.shape[0] - 1):
+        for j in range(1, u.shape[1] - 1):
+            s = aW[i, j] + aE[i, j] + aS[i, j] + aN[i, j]
+            res[i, j] = rhs[i, j] - (s * u[i, j]
+                                     - aW[i, j] * u[i - 1, j] - aE[i, j] * u[i + 1, j]
+                                     - aS[i, j] * u[i, j - 1] - aN[i, j] * u[i, j + 1])
+    return res
+
+
+def colors(shape):
+    # the colour sor_system gives node (i, j)
+    ii, jj = np.indices(shape)
+    return (ii + jj) & 1
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_second_color_residual_vanishes_after_a_sweep(shape):
+    # the colour-1 half-sweep solves the colour-1 equations against the
+    # final colour-0 values, which is why presmooth keeps colour 0's only
+    u, coef = symmetric_system(shape, seed=6)
+    rhs = np.random.default_rng(7).standard_normal(shape)
+    _kernels.sor_sweep(u, _kernels.sor_system(*coef), rhs, (0, 1))
+    res = np.abs(reference_residual(u, *coef, rhs))
+    color = colors(shape)
+    assert res[color == 0].max() > 0.0
+    assert res[color == 1].max() <= 1e-12 * res[color == 0].max()
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_presmooth_is_a_sweep_from_zero(shape):
+    # the field equals sor_sweep's from zero bitwise; the residual is the
+    # node-by-node one, whose colour-1 part is rounding
+    _, coef = symmetric_system(shape, seed=8)
+    rhs = np.zeros(shape)
+    rhs[1:-1, 1:-1] = np.random.default_rng(9).standard_normal((shape[0] - 2, shape[1] - 2))
+    system = _kernels.sor_system(*coef)
+    fast, swept = np.zeros(shape), np.zeros(shape)
+    res = _kernels.presmooth(fast, system, rhs)
+    _kernels.sor_sweep(swept, system, rhs, (0, 1))
+    assert np.array_equal(fast, swept)
+    assert np.array_equal(np.signbit(fast), np.signbit(swept))
+    ref = reference_residual(swept, *coef, rhs)
+    assert np.all(res[colors(shape) == 1] == 0.0)
+    assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))

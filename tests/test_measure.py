@@ -192,6 +192,33 @@ class TestSolveMeasure:
                             - _cell_energy(um, r, dphi, p, eps2)[0]) / (2 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
 
+    def test_final_residual_is_the_final_stage_residual(self):
+        # max_iter 2 stops in the p = 2 stage of a p = 3 solve; the recorded
+        # residual is still that of the p = 3 operator frozen at the field
+        pr = MeasureProblem(nu=2.0, p=3.0, n_r=24, n_phi=25, max_iter=2)
+        sol = solve_measure(pr)
+        assert sol.p_history == [2.0, 2.0]
+        r, phi = _grids(pr)
+        _, cE, cN = _cell_energy(sol.omega, r, phi[1] - phi[0], pr.p, pr.eps_reg**2)
+
+        def b_minus_Au(u):  # node by node: data enter from the boundary
+            out = np.zeros_like(u)
+            for i in range(1, u.shape[0] - 1):
+                for j in range(1, u.shape[1] - 1):
+                    out[i, j] = (cE[i - 1, j] * (u[i - 1, j] - u[i, j])
+                                 + cE[i, j] * (u[i + 1, j] - u[i, j])
+                                 + cN[i, j - 1] * (u[i, j - 1] - u[i, j])
+                                 + cN[i, j] * (u[i, j + 1] - u[i, j]))
+            return out
+
+        data = sol.omega.copy()
+        data[1:-1, 1:-1] = 0.0
+        want = np.linalg.norm(b_minus_Au(sol.omega)) / np.linalg.norm(b_minus_Au(data))
+        assert sol.final_residual == pytest.approx(want, rel=1e-9)
+        assert sol.summary()["final_residual"] == sol.final_residual
+        done = solve_measure(dataclasses.replace(pr, max_iter=4000))
+        assert done.converged and done.final_residual < 1e-4 * sol.final_residual
+
     def test_cg_breakdown_is_a_capped_cycle(self):
         # at p = 20 the frozen coefficients span about 1e-100 to 1e9 and the
         # CG recurrence breaks down in late cycles; the solve reports it

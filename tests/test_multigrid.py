@@ -96,6 +96,22 @@ def test_cg_iterations_do_not_grow_with_the_grid():
     assert abs(np.mean(counts[64]) - np.mean(counts[256])) <= 2
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_p2_stage_builds_its_hierarchy_once(monkeypatch, p):
+    # at p = 2 the frozen coefficients depend on the grid alone; every
+    # p = 3 cycle builds its own
+    build, calls = _multigrid.hierarchy, []
+
+    def counted(cE, cN):
+        calls.append(cE.shape)
+        return build(cE, cN)
+
+    monkeypatch.setattr(_multigrid, "hierarchy", counted)
+    sol = solve_measure(MeasureProblem(nu=2.0, p=p, n_r=64, n_phi=64))
+    assert sol.converged and sol.p_history.count(2.0) > 1
+    assert len(calls) == 1 + sol.p_history.count(3.0)
+
+
 def test_anisotropic_levels_halve_the_strong_axis_only():
     n = 129
     cE = np.ones((n - 1, n))
