@@ -8,7 +8,9 @@ of the grid, with Dirichlet data on rows and columns 0 and -1:
 
 cE[i, j] couples nodes (i, j) and (i + 1, j), cN[i, j] nodes (i, j) and
 (i, j + 1).  hierarchy(cE, cN) builds the levels once per cycle and pcg(u,
-levels, rtol) solves in place, warm-started from u.
+levels, rtol) solves in place, warm-started from u.  Every level, its
+operator (apply) and its smoother (_kernels.sor_system) use this one edge
+layout; the finest level holds the caller's cE and cN, not copies.
 
 Each coarser level halves an axis, keeping the even-index nodes and the last
 one, and stays a 5-point operator: along a coarsened axis two fine edges
@@ -55,14 +57,14 @@ MAX_CG = 200  # far above the 3-5 iterations of a logarithmic-grid Picard cycle
 
 
 class Level(NamedTuple):
-    ce: np.ndarray  # cE with a zero row before and after: shape (n_r + 1, n_phi)
-    cn: np.ndarray  # cN with a zero column before and after: shape (n_r, n_phi + 1)
+    cE: np.ndarray  # radial edges, shape (n_r - 1, n_phi)
+    cN: np.ndarray  # angular edges, shape (n_r, n_phi - 1)
     system: object  # _kernels.sor_system of the level, None on the coarsest
     inverse: np.ndarray | None  # dense inverse of the coarsest interior operator
 
     @property
     def shape(self):
-        return self.cn.shape[0], self.ce.shape[1]
+        return self.cN.shape[0], self.cE.shape[1]
 
 
 def dot(a, b) -> float:
@@ -117,16 +119,11 @@ def _series(c, axis, n):
 
 
 def _level(cE, cN, coarsest):
-    n_r, n_phi = cN.shape[0], cE.shape[1]
-    ce = np.zeros((n_r + 1, n_phi))
-    ce[1:-1] = cE
-    cn = np.zeros((n_r, n_phi + 1))
-    cn[:, 1:-1] = cN
-    aW, aE, aS, aN = ce[:-1], ce[1:], cn[:, :-1], cn[:, 1:]
     if not coarsest:
-        return Level(ce, cn, _kernels.sor_system(aW, aE, aS, aN), None)
+        return Level(cE, cN, _kernels.sor_system(cE, cN), None)
     # dense interior operator, node (i, j) at (i - 1) * (n_phi - 2) + j - 1
-    aW, aE, aS, aN = (a[1:-1, 1:-1] for a in (aW, aE, aS, aN))
+    n_r, n_phi = cN.shape[0], cE.shape[1]
+    aW, aE, aS, aN = cE[:-1, 1:-1], cE[1:, 1:-1], cN[1:-1, :-1], cN[1:-1, 1:]
     idx = np.arange((n_r - 2) * (n_phi - 2)).reshape(n_r - 2, n_phi - 2)
     A = np.zeros((idx.size, idx.size))
     A[idx, idx] = (aW + aE) + (aS + aN)
@@ -134,14 +131,14 @@ def _level(cE, cN, coarsest):
     A[idx[:-1], idx[1:]] = -aE[:-1]
     A[idx[:, 1:], idx[:, :-1]] = -aS[:, 1:]
     A[idx[:, :-1], idx[:, 1:]] = -aN[:, :-1]
-    return Level(ce, cn, None, np.linalg.inv(A))
+    return Level(cE, cN, None, np.linalg.inv(A))
 
 
 def hierarchy(cE, cN) -> list:
     """Levels of the frozen system, finest first.
 
     cE has shape (n_r - 1, n_phi) and cN (n_r, n_phi - 1), both positive;
-    n_r, n_phi >= 3.
+    n_r, n_phi >= 3.  The finest level holds cE and cN themselves.
     """
     levels = []
     while True:
@@ -165,9 +162,9 @@ def apply(level, x, out=None):
     Boundary values of x enter as the Dirichlet data of the neighbours.
     """
     fr = x[1:] - x[:-1]
-    fr *= level.ce[1:-1]
+    fr *= level.cE
     fa = x[:, 1:] - x[:, :-1]
-    fa *= level.cn[:, 1:-1]
+    fa *= level.cN
     if out is None:
         out = np.zeros_like(x)
     inner = out[1:-1, 1:-1]
@@ -181,7 +178,7 @@ def relative_residual(cE, cN, u) -> float:
     """||A u - b||_2 / ||b||_2 on the interior nodes for the frozen system of
     cE and cN (shaped as for hierarchy, which it does not call), where b is
     what u's Dirichlet rows and columns contribute."""
-    level = Level(np.pad(cE, ((1, 1), (0, 0))), np.pad(cN, ((0, 0), (1, 1))), None, None)
+    level = Level(cE, cN, None, None)
     data = u.copy()
     data[1:-1, 1:-1] = 0.0
     r, b = apply(level, u), apply(level, data)

@@ -171,6 +171,7 @@ def cmd_measure(args) -> int:
         MeasureProblem,
         comparability_constants,
         fit_slope,
+        require_slope_window,
         solve_measure,
         write_summary_json,
     )
@@ -180,6 +181,7 @@ def cmd_measure(args) -> int:
         eps_reg=cfg.eps_reg, tol=cfg.tol, max_iter=cfg.max_iter,
         arc_target=INNER_ARC if args.inner_arc else "full_arc",
     )
+    require_slope_window(problem)
     if args.mc_check:
         require_mc_applicable(problem)
     out_dir = _resolve_outdir(cfg, args)

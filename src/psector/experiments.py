@@ -9,7 +9,7 @@ to JSON (machine checks) and CSV (plotting).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .measure import (
     comparability_constants,
     fit_slope,
     mc_harmonic_measure,
+    require_slope_window,
     solve_measure,
 )
 from .profile import StreamEvaluator, build_profile
@@ -209,6 +210,7 @@ def run_measure_experiment(nu: float, p: float, n_r: int = 256, n_phi: int = 256
         provenance={"seed": seed, "tolerance": 1e-8},
     )
     problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi, eps_reg=eps_reg)
+    require_slope_window(problem, r_window)
     if mc_check:
         require_mc_applicable(problem)
     sol = solve_measure(problem)
@@ -249,8 +251,10 @@ def run_growth_bounds(nu: float, p: float, n_r: int = 256, n_phi: int = 256,
         {"nu": nu, "p": p, "n_r": n_r, "n_phi": n_phi,
          "slope_tol": slope_tol, "r_window": list(r_window)},
     )
+    problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
+    require_slope_window(problem, r_window)
     k = radial_exponent(nu, p)
-    sol = solve_measure(MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi))
+    sol = solve_measure(problem)
     rep.check("full-arc solve converged", sol.converged, f"iterations {sol.iterations}")
     lo_u, hi_u = comparability_constants(sol, k, REGION_SNU)
     rep.check("upper growth certificate finite on S_nu",
@@ -262,8 +266,7 @@ def run_growth_bounds(nu: float, p: float, n_r: int = 256, n_phi: int = 256,
     rep.rows.append({"nu": nu, "p": p, "k": k, "fitted": fit.exponent,
                      "upper_ratio": hi_u})
 
-    bar = solve_measure(MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi,
-                                       arc_target=INNER_ARC))
+    bar = solve_measure(replace(problem, arc_target=INNER_ARC))
     rep.check("inner-arc solve converged", bar.converged, f"iterations {bar.iterations}")
     lo_b, hi_b = comparability_constants(bar, k, REGION_S2NU, r_window=(0.02, 0.5))
     rep.check("lower growth certificate positive on S_2nu up to R/2",

@@ -107,7 +107,7 @@ def _as_p(p) -> float:
 
 
 def _discriminant(nu: float, p: float) -> float:
-    # same quantity in both algebraic forms used by the closed expressions
+    # (nu-1)^2 p^2 + 4(2nu-1)(p-1) in the form k's closed expressions use
     return (1.0 - 2.0 * nu) * (p - 2.0) ** 2 + nu * nu * p * p
 
 
@@ -142,9 +142,7 @@ def radial_exponent(sector, p) -> float:
         return nu
     if abs(2.0 * nu - 1.0) < NU_HALF_EPS:
         return (p - 1.0) / p
-    sq = math.sqrt(_discriminant(nu, p))
-    num = (nu - 1.0) * sq + (2.0 - p) * (1.0 - 2.0 * nu) + nu * nu * p
-    return num / (2.0 * (p - 1.0) * (2.0 * nu - 1.0))
+    return radial_exponent_roots(nu, p)[0]
 
 
 def radial_exponent_full(sector, p) -> RadialExponent:
@@ -212,8 +210,7 @@ def dk_dnu(sector, p) -> float:
         return (2.0 * nu * nu - 2.0 * nu) / (2.0 * nu - 1.0) ** 2
     if p == 2.0:
         return 1.0
-    d = (nu - 1.0) ** 2 * p * p + 4.0 * (2.0 * nu - 1.0) * (p - 1.0)
-    s = math.sqrt(d)
+    s = math.sqrt(_discriminant(nu, p))
     num = p * (nu - 1.0) * s + (nu - 1.0) ** 2 * p * p + 2.0 * (2.0 * nu - 1.0) * (p - 1.0)
     return nu * num / ((p - 1.0) * (2.0 * nu - 1.0) ** 2 * s)
 
@@ -232,7 +229,6 @@ def dk_dp(sector, p) -> float:
         return 1.0 / (p * p)
     if nu == 1.0:
         return 0.0
-    d = (nu - 1.0) ** 2 * p * p + 4.0 * (2.0 * nu - 1.0) * (p - 1.0)
-    s = math.sqrt(d)
+    s = math.sqrt(_discriminant(nu, p))
     num = (nu - 1.0) * s + nu * nu * p + (2.0 * nu - 1.0) * (p - 2.0)
     return (1.0 - nu) * num / (2.0 * (2.0 * nu - 1.0) * (p - 1.0) ** 2 * s)

@@ -325,12 +325,10 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         for it in range(1, budget + 1):
             if carried is None:
                 carried = _cell_energy(u, r, dphi, p_stage, eps2)
-            energy, cE, cN = carried
-            carried = None
-            history.append(energy)
+            history.append(carried[0])
             if levels is None:
-                levels = _multigrid.hierarchy(cE, cN)
-            del cE, cN  # the levels hold their own padded copies
+                levels = _multigrid.hierarchy(*carried[1:])
+            carried = None
             uold = u.copy()
             cg_history.append(_multigrid.pcg(u, levels, CG_RTOL))
             p_history.append(p_stage)
@@ -434,6 +432,21 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     )
 
 
+def _window(r, R, r_window):
+    """Mask of the radii r inside r_window, in fractions of R."""
+    if not 0.0 < r_window[0] < r_window[1] < 1.0:
+        raise DomainError(f"window {r_window} must lie strictly inside (0, 1)")
+    return (r >= r_window[0] * R) & (r <= r_window[1] * R)
+
+
+def require_slope_window(problem: MeasureProblem, r_window: tuple = (0.05, 0.4)) -> None:
+    """Raise DomainError unless r_window, as for fit_slope, holds at least 8
+    of the problem's grid radii: a fit that must fail is refused unsolved."""
+    n = int(_window(_grids(problem)[0], problem.R, r_window).sum())
+    if n < 8:
+        raise DomainError(f"slope window {r_window} of R holds {n} grid radii, fewer than 8")
+
+
 def fit_slope(solution: MeasureSolution, ray_angle: float = 0.0,
               r_window: tuple = (0.05, 0.4)) -> SlopeFit:
     """Least-squares slope of log omega against log r along a ray.
@@ -441,12 +454,9 @@ def fit_slope(solution: MeasureSolution, ray_angle: float = 0.0,
     The window is in fractions of R, strictly inside (0, 1), and must contain
     at least 8 grid radii; the returned fit's r_window is in units of r.
     """
-    if not 0.0 < r_window[0] < r_window[1] < 1.0:
-        raise DomainError(f"window {r_window} must lie strictly inside (0, 1)")
     R = solution.problem.R
-    lo, hi = r_window[0] * R, r_window[1] * R
     vals = solution.ray_values(ray_angle)
-    m = (solution.r >= lo) & (solution.r <= hi) & (vals > 0.0)
+    m = _window(solution.r, R, r_window) & (vals > 0.0)
     if int(m.sum()) < 8:
         raise DomainError("slope window must contain at least 8 usable radii")
     x = np.log(solution.r[m])
@@ -458,19 +468,18 @@ def fit_slope(solution: MeasureSolution, ray_angle: float = 0.0,
         exponent=float(coef[0]),
         intercept=float(coef[1]),
         rms=float(np.sqrt(np.mean(resid**2))),
-        r_window=(lo, hi),
+        r_window=(r_window[0] * R, r_window[1] * R),
         ray_angle=ray_angle,
     )
 
 
 def comparability_constants(solution: MeasureSolution, k: float,
                             region: str = REGION_S2NU,
-                            r_window: tuple | None = (0.02, 0.9),
-                            margin_cells: int = 2):
+                            r_window: tuple | None = (0.02, 0.9)):
     """(ratio_min, ratio_max) of omega(x) / (|x|/R)**k over a sector region.
 
     region selects the angular range: REGION_S2NU keeps |phi| <= pi/(4 nu),
-    REGION_SNU the full sector.  A margin of grid cells is dropped at every
+    REGION_SNU the full sector.  A margin of 2 grid cells is dropped at every
     boundary, and r_window (fractions of R, None to disable) keeps the
     certificate away from the apex truncation ring and the arc layer, where
     the discrete field is boundary-layer rather than power-law.
@@ -478,13 +487,8 @@ def comparability_constants(solution: MeasureSolution, k: float,
     if not k > 0:
         raise DomainError("k must be positive")
     pr = solution.problem
-    r, phi = solution.r, solution.phi
-    m = margin_cells
-    i_lo, i_hi = m, len(r) - m
-    j_lo, j_hi = m, len(phi) - m
-    rr = r[i_lo:i_hi]
-    pp = phi[j_lo:j_hi]
-    om = solution.omega[i_lo:i_hi, j_lo:j_hi]
+    rr, pp = solution.r[2:-2], solution.phi[2:-2]
+    om = solution.omega[2:-2, 2:-2]
     if region == REGION_S2NU:
         jm = np.abs(pp) <= math.pi / (4.0 * pr.nu) + 1e-12
     elif region == REGION_SNU:

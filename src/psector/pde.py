@@ -177,21 +177,21 @@ def inf_lap_residual(fld, point, step: float, relative: bool = False) -> float:
     return res
 
 
-# default half-width of the angular bands excluded around profile corner
+# half-width of the angular bands excluded around profile corner
 # points (the p = inf ridge and the plateau junctions), where the classical
 # second derivative does not exist
 RIDGE_BAND_EPS = 1e-3
 
 
-def profile_corner_bands(prof: AngularProfile, band_eps: float = RIDGE_BAND_EPS):
+def profile_corner_bands(prof: AngularProfile):
     """Angular intervals on which classical residuals of the profile diverge:
-    one band of half-width band_eps around each of the profile's corners.
+    one band of half-width RIDGE_BAND_EPS around each of the profile's corners.
 
     For p = inf with nu > 1 the profile has f'' -> -inf at phi = 0; for
     p = inf with nu < 1 the plateau joins the flanks with a jump in f''.
     Finite-p profiles are smooth and get no exclusions.
     """
-    return [(x - band_eps, x + band_eps) for x in prof.corners]
+    return [(x - RIDGE_BAND_EPS, x + RIDGE_BAND_EPS) for x in prof.corners]
 
 
 def _in_bands(phi: float, bands, reach: float = 0.0) -> bool:
@@ -199,8 +199,7 @@ def _in_bands(phi: float, bands, reach: float = 0.0) -> bool:
     return any(phi - reach <= hi and phi + reach >= lo for lo, hi in bands)
 
 
-def separation_report(prof: AngularProfile, n_samples: int | None = None,
-                      band_eps: float = RIDGE_BAND_EPS) -> ResidualReport:
+def separation_report(prof: AngularProfile, n_samples: int | None = None) -> ResidualReport:
     """Max relative separation-ODE residual over the tabulated profile.
 
     f'' comes from second central differences of the tabulated f column at
@@ -208,7 +207,7 @@ def separation_report(prof: AngularProfile, n_samples: int | None = None,
     verified; the table step also dominates the root-finder noise in f.
     n_samples optionally thins the table rows checked.
     """
-    bands = profile_corner_bands(prof, band_eps)
+    bands = profile_corner_bands(prof)
     phi, f, fp = prof.phi, prof.f, prof.fprime
     h = float(phi[1] - phi[0])
     fpp = np.empty_like(f)
@@ -252,21 +251,17 @@ def separation_report(prof: AngularProfile, n_samples: int | None = None,
 
 
 def polar_residual_report(prof: AngularProfile, n_samples: int = 100,
-                          r0: float = 1.0, step: float = 1e-3,
-                          band_eps: float = RIDGE_BAND_EPS) -> ResidualReport:
-    """Max relative polar p-Laplace residual of r**k f(phi) on an arc r = r0.
+                          step: float = 1e-3) -> ResidualReport:
+    """Max relative polar p-Laplace residual of r**k f(phi) on the arc r = 1.
 
     For p = inf profiles the Cartesian sup-norm residual is used instead,
     relative to its |grad|^2 ||D2|| scale; corner bands are excluded.
     """
     alpha = prof.half_aperture
     # widen the corner exclusions so no finite-difference stencil straddles
-    # a corner (Cartesian stencils reach ~1.5*step in angle at r0 = 1)
-    bands = [
-        (lo - 3.0 * step / r0, hi + 3.0 * step / r0)
-        for lo, hi in profile_corner_bands(prof, band_eps)
-    ]
-    margin = 3.0 * step / r0
+    # a corner (Cartesian stencils reach ~1.5*step in angle at r = 1)
+    margin = 3.0 * step
+    bands = [(lo - margin, hi + margin) for lo, hi in profile_corner_bands(prof)]
     phis = np.linspace(-alpha + margin, alpha - margin, n_samples)
     k = prof.k
 
@@ -283,12 +278,12 @@ def polar_residual_report(prof: AngularProfile, n_samples: int = 100,
         if _in_bands(phi, bands):
             continue
         if prof.p == math.inf:
-            x, y = r0 * math.cos(phi), r0 * math.sin(phi)
+            x, y = math.cos(phi), math.sin(phi)
             r = inf_lap_residual(fld_xy, (x, y), step, relative=True)
         elif prof.p == 2.0:
-            r = laplace_polar_residual(fld_polar, PolarPoint(r0, phi), step, relative=True)
+            r = laplace_polar_residual(fld_polar, PolarPoint(1.0, phi), step, relative=True)
         else:
-            r = polar_plap_residual(fld_polar, PolarPoint(r0, phi), prof.p, step, relative=True)
+            r = polar_plap_residual(fld_polar, PolarPoint(1.0, phi), prof.p, step, relative=True)
         worst = max(worst, abs(r))
         count += 1
     return ResidualReport(

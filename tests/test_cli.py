@@ -171,6 +171,20 @@ class TestMeasureCommand:
         assert "walk-on-spheres" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_r", ["8", "16"])
+    def test_grid_too_coarse_for_the_slope_window_refused_before_solving(
+            self, capsys, tmp_path, monkeypatch, n_r):
+        def no_solve(problem):
+            raise AssertionError("solved a grid whose slope fit must fail")
+
+        monkeypatch.setattr(measure, "solve_measure", no_solve)
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "measure", "--nu", "1", "--p", "2", "--n-r", n_r,
+                               "--n-phi", "16", "--out-dir", str(out))
+        assert code == 2
+        assert "fewer than 8" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("from_config", [False, True])
     def test_negative_seed_refused_before_solving(self, capsys, tmp_path, monkeypatch,
                                                   from_config):

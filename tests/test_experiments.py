@@ -57,6 +57,15 @@ class TestMeasureExperiment:
         with pytest.raises(DomainError, match="p = 2 only"):
             run_measure_experiment(1.0, 3.0, n_r=48, n_phi=49, mc_check=True)
 
+    @pytest.mark.parametrize("run", [run_measure_experiment, run_growth_bounds])
+    def test_slope_window_checked_before_solving(self, monkeypatch, run):
+        def no_solve(problem):
+            raise AssertionError("solved a grid whose slope fit must fail")
+
+        monkeypatch.setattr(experiments, "solve_measure", no_solve)
+        with pytest.raises(DomainError, match="fewer than 8"):
+            run(1.0, 2.0, n_r=96, n_phi=97, r_window=(0.3, 0.4))
+
     def test_nonlinear_case(self):
         rep = run_measure_experiment(2.0, 3.0, n_r=96, n_phi=97, slope_tol=0.10)
         assert rep.passed, rep.first_failure()

@@ -85,6 +85,15 @@ def test_exact_on_a_single_level():
     assert _multigrid.pcg(u, levels, 1e-10) == 1
 
 
+@pytest.mark.parametrize("shape", [(40, 40), (8, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_finest_level_holds_the_edge_arrays(shape):
+    # one coefficient layout from measure to the smoother: no padded copy,
+    # on a multilevel hierarchy and on a single dense level alike
+    cE, cN = edge_coefficients(shape, seed=6)
+    finest = _multigrid.hierarchy(cE, cN)[0]
+    assert finest.cE is cE and finest.cN is cN
+
+
 def test_cg_iterations_do_not_grow_with_the_grid():
     counts = {}
     for n in (64, 256):
