@@ -26,7 +26,6 @@ from .measure import (
 from .pde import (
     ResidualReport,
     inf_lap_residual,
-    inf_separation_residual,
     polar_plap_residual,
     separation_residual,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "exponent_condition_residual",
     "fit_slope",
     "inf_lap_residual",
-    "inf_separation_residual",
     "mc_harmonic_measure",
     "phi_of_theta",
     "polar_plap_residual",

@@ -211,6 +211,15 @@ def dk_dnu(sector, p) -> float:
     if p == 2.0:
         return 1.0
     s = math.sqrt(_discriminant(nu, p))
+    if nu < 1.0:
+        # the closed form's numerator cancels to O(2nu - 1) here.  Since
+        # k * k2 = nu^2/(2nu - 1), k = 2(p-1) nu^2 / n with n the numerator of
+        # the conjugate root k2, which does not cancel; its derivative is
+        # 2(p-1) nu g^2 / (n^2 s) with g = s - (1-nu)(p-2) > 0
+        n = (1.0 - nu) * s + (2.0 - p) * (1.0 - 2.0 * nu) + nu * nu * p
+        g = s - (1.0 - nu) * (p - 2.0)
+        return 2.0 * (p - 1.0) * nu * g * g / (n * n * s)
+    # for nu >= 1 it is n that cancels, and the closed form does not
     num = p * (nu - 1.0) * s + (nu - 1.0) ** 2 * p * p + 2.0 * (2.0 * nu - 1.0) * (p - 1.0)
     return nu * num / ((p - 1.0) * (2.0 * nu - 1.0) ** 2 * s)
 

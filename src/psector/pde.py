@@ -3,8 +3,11 @@
 Certifies that constructed functions satisfy, in finite-difference sense,
 the polar p-Laplace equation, the angular separation ODE, and the sup-norm
 (infinity) Laplace equation.  All checks are independent of the construction
-route: second derivatives come from central differences of tabulated or
-sampled values, never from solving the equation being verified.
+route: derivatives come from central differences, never from solving the
+equation being verified.  The three field residuals sample the field as a
+black box on one 9-point stencil, `_differences`; one `separation_residual`
+covers the angular ODE for every p in (1, inf], with f'' differenced from
+tabulated values.
 
 Residuals are reported two ways: raw (the multiplied-out left side) and
 relative, dividing by the largest individual term magnitude so that "small"
@@ -33,7 +36,6 @@ class ResidualReport:
     max_abs_residual: float
     sample_count: int
     excluded_bands: list = field(default_factory=list)
-    normalization_scale: float = 1.0
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -47,7 +49,6 @@ class ResidualReport:
                 "max_abs_residual": self.max_abs_residual,
                 "sample_count": self.sample_count,
                 "excluded_bands": [list(b) for b in self.excluded_bands],
-                "normalization_scale": self.normalization_scale,
             },
             sort_keys=True,
         )
@@ -59,67 +60,65 @@ def _rel(terms) -> float:
     return s / scale
 
 
+def _differences(fld, a: float, b: float, h: float):
+    """Second-order central differences of fld at (a, b) with step h.
+
+    Samples each point of the 9-point stencil once and returns
+    (u_a, u_b, u_aa, u_bb, u_ab).
+    """
+    u0 = fld(a, b)
+    east, west = fld(a + h, b), fld(a - h, b)
+    north, south = fld(a, b + h), fld(a, b - h)
+    cross = fld(a + h, b + h) - fld(a + h, b - h) - fld(a - h, b + h) + fld(a - h, b - h)
+    return (
+        (east - west) / (2 * h),
+        (north - south) / (2 * h),
+        (east - 2 * u0 + west) / (h * h),
+        (north - 2 * u0 + south) / (h * h),
+        cross / (4 * h * h),
+    )
+
+
 def separation_residual(f: float, fprime: float, fsecond: float, k: float, p: float,
                         relative: bool = False) -> float:
-    """Left side of the angular separation ODE for finite p != 2.
+    """Left side of the angular separation ODE for p in (1, inf].
 
     [(b+1) f'^2 + b k^2 f^2] f'' + (2k + bk - 1) k f f'^2 + (bk + k - 1) k^3 f^3
-    with b = 1/(p-2).
+    with b = 1/(p-2), which is 0 at p = inf.  At p = 2 the equation is the
+    balance f'' + k^2 f.
     """
-    if p == math.inf or p == 2.0:
-        raise DomainError("separation_residual needs finite p != 2")
-    b = 1.0 / (p - 2.0)
-    t1 = ((b + 1.0) * fprime * fprime + b * k * k * f * f) * fsecond
-    t2 = (2.0 * k + b * k - 1.0) * k * f * fprime * fprime
-    t3 = (b * k + k - 1.0) * k**3 * f**3
+    if p == 2.0:
+        terms = (fsecond, k**2 * f)
+    else:
+        b = 1.0 / (p - 2.0)
+        terms = (
+            ((b + 1.0) * fprime * fprime + b * k * k * f * f) * fsecond,
+            (2.0 * k + b * k - 1.0) * k * f * fprime * fprime,
+            (b * k + k - 1.0) * k**3 * f**3,
+        )
     if relative:
-        return _rel((t1, t2, t3))
-    return t1 + t2 + t3
+        return _rel(terms)
+    return sum(terms)
 
 
-def inf_separation_residual(f: float, fprime: float, fsecond: float, k: float,
-                            relative: bool = False) -> float:
-    """Sup-norm case of the separation ODE:
-    f'^2 f'' + (2k - 1) k f f'^2 + (k - 1) k^3 f^3."""
-    t1 = fprime * fprime * fsecond
-    t2 = (2.0 * k - 1.0) * k * f * fprime * fprime
-    t3 = (k - 1.0) * k**3 * f**3
-    if relative:
-        return _rel((t1, t2, t3))
-    return t1 + t2 + t3
-
-
-def polar_plap_residual(fld, point, p: float, step: float, k: float | None = None,
-                        relative: bool = False) -> float:
+def polar_plap_residual(fld, point, p: float, step: float, relative: bool = False) -> float:
     """Finite-difference residual of the polar p-Laplace equation at a point.
 
-    fld(r, phi) samples the field on a centered stencil; all partials are
-    second-order central differences with the given step.  The multiplied-out
-    form is evaluated:
+    fld(r, phi) is sampled on the centered stencil of `_differences` with the
+    given step.  The multiplied-out form is evaluated:
 
     (b+1) ur^2 urr + (b/r^2)(urr up^2 + ur^2 upp) + ((b+1)/r^4) up^2 upp
       + (b/r) ur^3 + ((b-1)/r^3) ur up^2 + (2/r^2) ur up urp,  b = 1/(p-2).
 
-    With k given the raw residual is divided by r**(3(k-1)-1), the natural
-    scale of a separable r**k field; `relative` divides by the max term
-    instead.
+    `relative` divides by the max term.
     """
     if p == math.inf or p == 2.0:
         raise DomainError("polar_plap_residual needs finite p != 2")
-    r, phi = point.r, point.phi
+    r = point.r
     if not r > 2.0 * step:
         raise DomainError("stencil requires r > 2*step")
     b = 1.0 / (p - 2.0)
-    h = step
-    u0 = fld(r, phi)
-    ur = (fld(r + h, phi) - fld(r - h, phi)) / (2 * h)
-    urr = (fld(r + h, phi) - 2 * u0 + fld(r - h, phi)) / (h * h)
-    up = (fld(r, phi + h) - fld(r, phi - h)) / (2 * h)
-    upp = (fld(r, phi + h) - 2 * u0 + fld(r, phi - h)) / (h * h)
-    urp = (
-        fld(r + h, phi + h) - fld(r + h, phi - h)
-        - fld(r - h, phi + h) + fld(r - h, phi - h)
-    ) / (4 * h * h)
+    ur, up, urr, upp, urp = _differences(fld, r, point.phi, step)
     terms = (
         (b + 1.0) * ur * ur * urr,
         b / r**2 * (urr * up * up + ur * ur * upp),
@@ -130,20 +129,13 @@ def polar_plap_residual(fld, point, p: float, step: float, k: float | None = Non
     )
     if relative:
         return _rel(terms)
-    res = sum(terms)
-    if k is not None:
-        res /= r ** (3.0 * (k - 1.0) - 1.0)
-    return res
+    return sum(terms)
 
 
 def laplace_polar_residual(fld, point, step: float, relative: bool = False) -> float:
     """Residual of the p = 2 balance u_rr + u_r/r + u_pp/r^2 at a point."""
-    r, phi = point.r, point.phi
-    h = step
-    u0 = fld(r, phi)
-    ur = (fld(r + h, phi) - fld(r - h, phi)) / (2 * h)
-    urr = (fld(r + h, phi) - 2 * u0 + fld(r - h, phi)) / (h * h)
-    upp = (fld(r, phi + h) - 2 * u0 + fld(r, phi - h)) / (h * h)
+    r = point.r
+    ur, _, urr, upp, _ = _differences(fld, r, point.phi, step)
     terms = (urr, ur / r, upp / r**2)
     if relative:
         return _rel(terms)
@@ -154,16 +146,7 @@ def inf_lap_residual(fld, point, step: float, relative: bool = False) -> float:
     """Finite-difference sup-norm Laplacian sum u_xi u_xj u_xixj at a
     Cartesian point (x, y); `relative` divides by |grad u|^2 * max|D2 u|."""
     x, y = point
-    h = step
-    u0 = fld(x, y)
-    ux = (fld(x + h, y) - fld(x - h, y)) / (2 * h)
-    uy = (fld(x, y + h) - fld(x, y - h)) / (2 * h)
-    uxx = (fld(x + h, y) - 2 * u0 + fld(x - h, y)) / (h * h)
-    uyy = (fld(x, y + h) - 2 * u0 + fld(x, y - h)) / (h * h)
-    uxy = (
-        fld(x + h, y + h) - fld(x + h, y - h)
-        - fld(x - h, y + h) + fld(x - h, y - h)
-    ) / (4 * h * h)
+    ux, uy, uxx, uyy, uxy = _differences(fld, x, y, step)
     res = ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy
     if relative:
         grad2 = ux * ux + uy * uy
@@ -225,29 +208,16 @@ def separation_report(prof: AngularProfile, n_samples: int | None = None) -> Res
         # the difference stencil [x - h, x + h] must not straddle an excluded corner
         if _in_bands(x, bands, h):
             continue
+        fpp_i = fpp[i]
         if ridge_blowup:
             # f'' ~ |phi|^(-2/3) at the ridge; proportional steps keep the
-            # truncation error of the difference flat in phi
+            # truncation error of the difference flat in phi (f[i] is f_exact(x))
             ha = min(max(0.02 * abs(x), 1e-7), 0.25 * abs(x), 0.25 * (alpha - abs(x)))
-            fpp_i = (prof.f_exact(x + ha) - 2.0 * prof.f_exact(x) + prof.f_exact(x - ha)) / (ha * ha)
-            r = inf_separation_residual(f[i], fp[i], fpp_i, prof.k, relative=True)
-        elif prof.p == math.inf:
-            r = inf_separation_residual(f[i], fp[i], fpp[i], prof.k, relative=True)
-        elif prof.p == 2.0:
-            # p = 2 balance: f'' + nu^2 f = 0
-            r = (fpp[i] + prof.nu**2 * f[i]) / max(
-                abs(fpp[i]), abs(prof.nu**2 * f[i]), _SCALE_FLOOR
-            )
-        else:
-            r = separation_residual(f[i], fp[i], fpp[i], prof.k, prof.p, relative=True)
+            fpp_i = (prof.f_exact(x + ha) - 2.0 * f[i] + prof.f_exact(x - ha)) / (ha * ha)
+        r = separation_residual(f[i], fp[i], fpp_i, prof.k, prof.p, relative=True)
         worst = max(worst, abs(r))
         count += 1
-    return ResidualReport(
-        max_abs_residual=worst,
-        sample_count=count,
-        excluded_bands=bands,
-        normalization_scale=1.0,
-    )
+    return ResidualReport(max_abs_residual=worst, sample_count=count, excluded_bands=bands)
 
 
 def polar_residual_report(prof: AngularProfile, n_samples: int = 100,
@@ -286,9 +256,4 @@ def polar_residual_report(prof: AngularProfile, n_samples: int = 100,
             r = polar_plap_residual(fld_polar, PolarPoint(1.0, phi), prof.p, step, relative=True)
         worst = max(worst, abs(r))
         count += 1
-    return ResidualReport(
-        max_abs_residual=worst,
-        sample_count=count,
-        excluded_bands=bands,
-        normalization_scale=1.0,
-    )
+    return ResidualReport(max_abs_residual=worst, sample_count=count, excluded_bands=bands)

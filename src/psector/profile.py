@@ -29,6 +29,7 @@ import numpy as np
 
 from . import _output
 from .exponent import (
+    P_TWO_EPS,
     DomainError,
     _as_nu,
     _as_p,
@@ -41,8 +42,6 @@ CASE_GT2 = "P_GT2_ANGLEMAP"
 CASE_INF = "P_INF_ANGLEMAP"
 CASE_LT2 = "P_LT2_STREAM"
 
-# treat |p - 2| below this as the closed p = 2 case (a, b overflow otherwise)
-P2_SWITCH = 1e-6
 # near theta = +-pi the tan(theta/2) substitution degenerates; the map value
 # there is the full extended-domain boundary +-pi/nu
 THETA_PI_EPS = 1e-9
@@ -413,7 +412,7 @@ def build_profile(sector, p, n_samples: int = 129) -> AngularProfile:
     alpha = math.pi / (2.0 * nu)
     phi = np.linspace(-alpha, alpha, n_samples)
 
-    if p != math.inf and abs(p - 2.0) < P2_SWITCH:
+    if p != math.inf and abs(p - 2.0) < P_TWO_EPS:
         p = 2.0
         ev = ClosedFormEvaluator(nu)
     elif p == math.inf and nu < 1.0:

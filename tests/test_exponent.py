@@ -197,6 +197,14 @@ class TestDerivatives:
             for p in (1.1, 1.5, 2.0, 3.0, 10.0, math.inf):
                 assert dk_dnu(nu, p) >= 0.0
 
+    def test_dk_dnu_near_half(self):
+        # the closed form's numerator cancels as nu -> 1/2 and read 0.39 off
+        # the first value; references from a 60-digit derivative of k
+        for nu, p, ref in ((0.500001, 1000.0, 7.9920636807964006318e-6),
+                           (0.500001, 1.01, 0.077647808656894891435),
+                           (0.5001, 100.0, 7.9260876527901403573e-4)):
+            assert dk_dnu(nu, p) == pytest.approx(ref, rel=1e-9)
+
     def test_dk_dnu_raises_at_half(self):
         with pytest.raises(DomainError):
             dk_dnu(0.5, 3.0)

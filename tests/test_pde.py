@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from psector.exponent import DomainError
@@ -8,7 +9,6 @@ from psector.pde import (
     RIDGE_BAND_EPS,
     ResidualReport,
     inf_lap_residual,
-    inf_separation_residual,
     laplace_polar_residual,
     polar_plap_residual,
     polar_residual_report,
@@ -17,6 +17,7 @@ from psector.pde import (
     separation_residual,
 )
 from psector.profile import PolarPoint, build_profile
+from psector.verify import PROFILE_CASES
 
 
 class TestSeparationResidual:
@@ -40,22 +41,35 @@ class TestSeparationResidual:
         f, fpp = math.cos(nu * phi), -nu * nu * math.cos(nu * phi)
         assert fpp + nu * nu * f == pytest.approx(0.0, abs=1e-14)
 
-    def test_rejects_p2_and_inf(self):
-        with pytest.raises(DomainError):
-            separation_residual(1.0, 0.0, -1.0, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            separation_residual(1.0, 0.0, -1.0, 1.0, math.inf)
+    def test_inf_is_b0_form(self):
+        # p = inf takes b = 1/(p-2) = 0, bitwise the sup-norm equation
+        # f'^2 f'' + (2k - 1) k f f'^2 + (k - 1) k^3 f^3
+        for f, fp, fpp, k in ((0.8, -0.3, -1.7, 1.4), (-0.2, 1.1, 0.6, 1.0),
+                              (0.5, 0.0, -2.0, 2.5)):
+            terms = (fp * fp * fpp, (2.0 * k - 1.0) * k * f * fp * fp,
+                     (k - 1.0) * k**3 * f**3)
+            assert separation_residual(f, fp, fpp, k, math.inf) == sum(terms)
+            scale = max(max(abs(t) for t in terms), 1e-300)
+            assert separation_residual(f, fp, fpp, k, math.inf, relative=True) == sum(terms) / scale
+
+    def test_p2_is_harmonic_balance(self):
+        # f'' is 10% off the balance, so the residual is not zero
+        nu, phi = 2.0, 0.35
+        f, fp, fpp = math.cos(nu * phi), -nu * math.sin(nu * phi), -0.9 * nu * nu * math.cos(nu * phi)
+        assert separation_residual(f, fp, fpp, nu, 2.0) == fpp + nu**2 * f
+        assert separation_residual(f, fp, fpp, nu, 2.0, relative=True) == (
+            (fpp + nu**2 * f) / max(abs(fpp), abs(nu**2 * f)))
 
 
 class TestInfSeparationResidual:
     def test_zero_state(self):
-        assert inf_separation_residual(0.0, 0.0, 0.0, 1.0) == 0.0
+        assert separation_residual(0.0, 0.0, 0.0, 1.0, math.inf) == 0.0
 
     def test_half_plane_profile(self):
         # k = 1 reduces the equation to f'^2 (f'' + f); cosine is exact
         phi = 0.7
         f, fp, fpp = math.cos(phi), -math.sin(phi), -math.cos(phi)
-        assert inf_separation_residual(f, fp, fpp, 1.0) == pytest.approx(0.0, abs=1e-16)
+        assert separation_residual(f, fp, fpp, 1.0, math.inf) == pytest.approx(0.0, abs=1e-16)
 
     def test_built_sup_profiles(self):
         for nu in (1.0, 2.0):
@@ -81,12 +95,19 @@ class TestPolarResidual:
         res = polar_plap_residual(fld, PolarPoint(1.0, 0.2), 3.0, 1e-3)
         assert abs(res) <= 1e-4
 
-    def test_k_relativization(self):
-        prof = build_profile(2.0, 3.0, 257)
-        fld = lambda r, f: r**prof.k * prof.f_exact(f)  # noqa: E731
-        raw = polar_plap_residual(fld, PolarPoint(0.5, 0.2), 3.0, 1e-4)
-        scaled = polar_plap_residual(fld, PolarPoint(0.5, 0.2), 3.0, 1e-4, k=prof.k)
-        assert scaled == pytest.approx(raw / 0.5 ** (3 * (prof.k - 1) - 1), rel=1e-12)
+    def test_stencil_samples_nine_points(self):
+        # each field residual samples the 9-point stencil once per point
+        calls = []
+
+        def fld(a, b):
+            calls.append((a, b))
+            return 1.0 + a * a * b
+
+        polar_plap_residual(fld, PolarPoint(1.0, 0.1), 3.0, 1e-3)
+        inf_lap_residual(fld, (0.5, 0.1), 1e-3)
+        laplace_polar_residual(fld, PolarPoint(1.0, 0.1), 1e-3)
+        assert len(calls) == 27
+        assert len(set(calls[:9])) == len(set(calls[9:18])) == len(set(calls[18:])) == 9
 
     def test_stencil_bounds(self):
         with pytest.raises(DomainError):
@@ -165,12 +186,18 @@ class TestReports:
         assert half_plane == [(-RIDGE_BAND_EPS, RIDGE_BAND_EPS)]
 
     def test_report_json(self):
-        rep = ResidualReport(1e-5, 40, [(-0.1, 0.1)], 2.0)
+        rep = ResidualReport(1e-5, 40, [(-0.1, 0.1)])
         data = json.loads(rep.to_json())
-        assert data["max_abs_residual"] == 1e-5
-        assert data["sample_count"] == 40
-        assert data["excluded_bands"] == [[-0.1, 0.1]]
-        assert data["normalization_scale"] == 2.0
+        assert data == {"max_abs_residual": 1e-5, "sample_count": 40,
+                        "excluded_bands": [[-0.1, 0.1]]}
+
+    def test_table_is_exact_profile(self):
+        # separation_report's ridge difference takes f[i] for f_exact(phi[i])
+        for nu, p in PROFILE_CASES:
+            for n in (129, 1025):
+                prof = build_profile(nu, p, n)
+                exact = [prof.f_exact(float(x)) for x in prof.phi]
+                assert np.array_equal(prof.f, exact), (nu, p, n)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
