@@ -2,15 +2,11 @@
 
 from .exponent import (
     DomainError,
-    PExponent,
-    RadialExponent,
-    SectorSpec,
     conjugate_exponent,
     dk_dnu,
     dk_dp,
     exponent_condition_residual,
     radial_exponent,
-    radial_exponent_full,
     radial_exponent_inf,
     radial_exponent_roots,
 )
@@ -49,12 +45,9 @@ __all__ = [
     "DomainError",
     "MeasureProblem",
     "MeasureSolution",
-    "PExponent",
     "PolarPoint",
     "ProfileInvariantError",
-    "RadialExponent",
     "ResidualReport",
-    "SectorSpec",
     "SlopeFit",
     "build_profile",
     "comparability_constants",
@@ -69,7 +62,6 @@ __all__ = [
     "phi_of_theta",
     "polar_plap_residual",
     "radial_exponent",
-    "radial_exponent_full",
     "radial_exponent_inf",
     "radial_exponent_roots",
     "separation_residual",

@@ -97,15 +97,16 @@ def _p_label(p: float) -> str:
 # exponent table
 
 
-def run_exponent_table(nu_grid=None, p_grid=None) -> ExperimentReport:
+# the (nu, p) grid of the exponent table and of verify's exponent suite
+NU_GRID = [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0]
+P_GRID = [1.1, 1.5, 2.0, 3.0, 4.0, 10.0, 100.0]
+
+
+def run_exponent_table(nu_grid=NU_GRID, p_grid=(*P_GRID, math.inf)) -> ExperimentReport:
     """k(nu, p) over a grid plus the qualitative shape assertions:
     harmonic and half-plane anchor values, monotonicity in nu, the p -> 1
     and p -> inf limit behaviors, the slit-plane limit, and the large-nu
     asymptote k ~ p*nu/(2(p-1))."""
-    if nu_grid is None:
-        nu_grid = [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0]
-    if p_grid is None:
-        p_grid = [1.1, 1.5, 2.0, 3.0, 4.0, 10.0, 100.0, math.inf]
     rep = ExperimentReport(
         "exponent_table",
         {"nu_grid": list(nu_grid), "p_grid": [_p_label(p) for p in p_grid]},

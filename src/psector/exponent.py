@@ -13,7 +13,6 @@ a = (p-1)/(p-2) and b = 1/(p-2); at p = inf, a = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 NU_MIN = 0.5
 # below this distance from nu = 1/2 the closed form is ill conditioned
@@ -26,74 +25,8 @@ class DomainError(ValueError):
     """Input outside the admissible (nu, p) domain."""
 
 
-@dataclass(frozen=True)
-class SectorSpec:
-    """Planar sector: half-aperture pi/(2*nu), apex at the origin."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not (self.nu >= NU_MIN):
-            raise DomainError(f"nu must be >= 0.5, got {self.nu}")
-
-    @property
-    def half_aperture(self) -> float:
-        return math.pi / (2.0 * self.nu)
-
-
-@dataclass(frozen=True)
-class PExponent:
-    """Integrability exponent p in (1, inf]; math.inf marks the sup case."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value == math.inf or self.value > 1.0):
-            raise DomainError(f"p must be finite > 1 or inf, got {self.value}")
-
-    @property
-    def is_inf(self) -> bool:
-        return self.value == math.inf
-
-    @property
-    def a(self) -> float:
-        """(p-1)/(p-2), taken as 1 at p = inf.  Undefined near p = 2."""
-        if self.is_inf:
-            return 1.0
-        if abs(self.value - 2.0) < P_TWO_EPS:
-            raise DomainError("a = (p-1)/(p-2) is undefined at p = 2")
-        return (self.value - 1.0) / (self.value - 2.0)
-
-    @property
-    def b(self) -> float:
-        """1/(p-2), taken as 0 at p = inf.  Undefined near p = 2."""
-        if self.is_inf:
-            return 0.0
-        if abs(self.value - 2.0) < P_TWO_EPS:
-            raise DomainError("b = 1/(p-2) is undefined at p = 2")
-        return 1.0 / (self.value - 2.0)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class RadialExponent:
-    """Selected root of the exponent quadratic with its branch tag."""
-
-    k: float
-    branch: str  # "k1" or "k2"
-
-    def __post_init__(self):
-        if self.branch == "k1" and not self.k > 0:
-            raise ValueError(f"branch k1 must be positive, got {self.k}")
-
-    def __float__(self) -> float:
-        return self.k
-
-
-def _as_nu(sector) -> float:
-    nu = sector.nu if isinstance(sector, SectorSpec) else float(sector)
+def _as_nu(nu) -> float:
+    nu = float(nu)
     if not nu >= NU_MIN:
         raise DomainError(f"nu must be >= 0.5, got {nu}")
     return nu
@@ -109,6 +42,12 @@ def _as_p(p) -> float:
 def _discriminant(nu: float, p: float) -> float:
     # (nu-1)^2 p^2 + 4(2nu-1)(p-1) in the form k's closed expressions use
     return (1.0 - 2.0 * nu) * (p - 2.0) ** 2 + nu * nu * p * p
+
+
+def _conjugate_numerator(nu: float, p: float, s: float) -> float:
+    # numerator of the conjugate root k2 = n / (2(p-1)(2nu-1)), given
+    # s = sqrt(discriminant); it cancels for nu > 1 but not for nu < 1
+    return (1.0 - nu) * s + (2.0 - p) * (1.0 - 2.0 * nu) + nu * nu * p
 
 
 def conjugate_exponent(p: float) -> float:
@@ -127,14 +66,14 @@ def radial_exponent_inf(nu: float) -> float:
     return nu * nu / (2.0 * nu - 1.0)
 
 
-def radial_exponent(sector, p) -> float:
+def radial_exponent(nu, p) -> float:
     """Radial exponent k(nu, p), branch k1 of the closed form.
 
     Special paths: p = 2 gives k = nu exactly; nu = 1/2 gives the limit
     (p-1)/p; p = inf uses the piecewise sup-norm form.  Result is finite
     and positive.
     """
-    nu = _as_nu(sector)
+    nu = _as_nu(nu)
     p = _as_p(p)
     if p == math.inf:
         return radial_exponent_inf(nu)
@@ -145,12 +84,7 @@ def radial_exponent(sector, p) -> float:
     return radial_exponent_roots(nu, p)[0]
 
 
-def radial_exponent_full(sector, p) -> RadialExponent:
-    """radial_exponent wrapped with its branch tag."""
-    return RadialExponent(k=radial_exponent(sector, p), branch="k1")
-
-
-def radial_exponent_roots(sector, p) -> tuple[float, float]:
+def radial_exponent_roots(nu, p) -> tuple[float, float]:
     """Both roots of the exponent quadratic, for finite p != 2, nu > 1/2.
 
     k1 is the branch selected by continuity k1(nu, 2) = nu; k2 is the
@@ -158,7 +92,7 @@ def radial_exponent_roots(sector, p) -> tuple[float, float]:
     Only k1 solves the original (unsquared) aperture condition; k2 is the
     spurious branch introduced by squaring and is exposed for testing.
     """
-    nu = _as_nu(sector)
+    nu = _as_nu(nu)
     p = _as_p(p)
     if p == math.inf:
         raise DomainError("roots are defined for finite p only")
@@ -166,12 +100,16 @@ def radial_exponent_roots(sector, p) -> tuple[float, float]:
         raise DomainError("nu = 1/2 requires the limit path of radial_exponent")
     sq = math.sqrt(_discriminant(nu, p))
     den = 2.0 * (p - 1.0) * (2.0 * nu - 1.0)
+    n = _conjugate_numerator(nu, p, sq)
+    if nu < 1.0:
+        # k1's numerator cancels to O(2nu - 1) here; k1 * k2 = nu^2/(2nu - 1)
+        # gives k1 = 2(p-1) nu^2 / n, which does not
+        return 2.0 * (p - 1.0) * nu * nu / n, n / den
     k1 = ((nu - 1.0) * sq + (2.0 - p) * (1.0 - 2.0 * nu) + nu * nu * p) / den
-    k2 = ((1.0 - nu) * sq + (2.0 - p) * (1.0 - 2.0 * nu) + nu * nu * p) / den
-    return k1, k2
+    return k1, n / den
 
 
-def exponent_condition_residual(k: float, sector, p) -> float:
+def exponent_condition_residual(k: float, nu, p) -> float:
     """Residual of the aperture condition that defines k, for finite p != 2.
 
     Returns pi/nu - pi*(1 - (1 - 1/k)*sqrt(a*k)/sqrt(a*k - 1)); zero iff k
@@ -179,7 +117,7 @@ def exponent_condition_residual(k: float, sector, p) -> float:
     For p < 2 map the problem through the conjugate identity
     k(nu, q) = (p-1)*(k(nu, p)-1) + 1 with p = q/(q-1) before calling.
     """
-    nu = _as_nu(sector)
+    nu = _as_nu(nu)
     p = _as_p(p)
     if p == math.inf:
         a = 1.0
@@ -193,14 +131,14 @@ def exponent_condition_residual(k: float, sector, p) -> float:
     return math.pi / nu - math.pi * (1.0 - (1.0 - 1.0 / k) * math.sqrt(ak) / math.sqrt(ak - 1.0))
 
 
-def dk_dnu(sector, p) -> float:
+def dk_dnu(nu, p) -> float:
     """Partial derivative of k with respect to nu; nonnegative on the domain.
 
     Finite p uses the closed form; p = inf differentiates the piecewise
     sup-norm expression.  Raises at nu = 1/2 exactly (no limit available);
     probe nu = 1/2 + eps instead.
     """
-    nu = _as_nu(sector)
+    nu = _as_nu(nu)
     p = _as_p(p)
     if abs(2.0 * nu - 1.0) < NU_HALF_EPS:
         raise DomainError("dk/dnu is singular at nu = 1/2; evaluate at nu = 1/2 + eps")
@@ -212,11 +150,9 @@ def dk_dnu(sector, p) -> float:
         return 1.0
     s = math.sqrt(_discriminant(nu, p))
     if nu < 1.0:
-        # the closed form's numerator cancels to O(2nu - 1) here.  Since
-        # k * k2 = nu^2/(2nu - 1), k = 2(p-1) nu^2 / n with n the numerator of
-        # the conjugate root k2, which does not cancel; its derivative is
-        # 2(p-1) nu g^2 / (n^2 s) with g = s - (1-nu)(p-2) > 0
-        n = (1.0 - nu) * s + (2.0 - p) * (1.0 - 2.0 * nu) + nu * nu * p
+        # differentiate k = 2(p-1) nu^2 / n, the form radial_exponent_roots
+        # takes here: 2(p-1) nu g^2 / (n^2 s) with g = s - (1-nu)(p-2) > 0
+        n = _conjugate_numerator(nu, p, s)
         g = s - (1.0 - nu) * (p - 2.0)
         return 2.0 * (p - 1.0) * nu * g * g / (n * n * s)
     # for nu >= 1 it is n that cancels, and the closed form does not
@@ -224,13 +160,13 @@ def dk_dnu(sector, p) -> float:
     return nu * num / ((p - 1.0) * (2.0 * nu - 1.0) ** 2 * s)
 
 
-def dk_dp(sector, p) -> float:
+def dk_dp(nu, p) -> float:
     """Partial derivative of k with respect to p, finite p only.
 
     Positive for nu in [1/2, 1), zero at nu = 1, negative for nu > 1.
     At nu = 1/2 returns the limit value 1/p^2.
     """
-    nu = _as_nu(sector)
+    nu = _as_nu(nu)
     p = _as_p(p)
     if p == math.inf:
         raise DomainError("dk/dp is defined for finite p only")

@@ -475,12 +475,12 @@ def fit_slope(solution: MeasureSolution, ray_angle: float = 0.0,
 
 def comparability_constants(solution: MeasureSolution, k: float,
                             region: str = REGION_S2NU,
-                            r_window: tuple | None = (0.02, 0.9)):
+                            r_window: tuple = (0.02, 0.9)):
     """(ratio_min, ratio_max) of omega(x) / (|x|/R)**k over a sector region.
 
     region selects the angular range: REGION_S2NU keeps |phi| <= pi/(4 nu),
     REGION_SNU the full sector.  A margin of 2 grid cells is dropped at every
-    boundary, and r_window (fractions of R, None to disable) keeps the
+    boundary, and r_window (fractions of R, as for fit_slope) keeps the
     certificate away from the apex truncation ring and the arc layer, where
     the discrete field is boundary-layer rather than power-law.
     """
@@ -495,9 +495,7 @@ def comparability_constants(solution: MeasureSolution, k: float,
         jm = np.ones_like(pp, bool)
     else:
         raise DomainError(f"unknown region {region!r}")
-    im = np.ones_like(rr, bool)
-    if r_window is not None:
-        im &= (rr >= r_window[0] * pr.R) & (rr <= r_window[1] * pr.R)
+    im = _window(rr, pr.R, r_window)
     ratio = om[np.ix_(im, jm)] / (rr[im, None] / pr.R) ** k
     return float(ratio.min()), float(ratio.max())
 
@@ -520,9 +518,10 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
                         shell: float = 1e-5, max_steps: int = 100000):
     """Walk-on-spheres estimate of harmonic (p = 2) measure of the arc.
 
-    For each interior start point, n_walks Brownian paths are simulated by
-    jumping to a uniform point on the largest centered disk inside the
-    domain, absorbing within a shell*R boundary layer, 0 < shell < 1.
+    For each interior start point (r, phi), n_walks Brownian paths are
+    simulated by jumping to a uniform point on the largest centered disk
+    inside the domain, absorbing within a shell*R boundary layer,
+    0 < shell < 1.
     Returns a list of (estimate, stderr); stderr is the binomial standard
     error.  Deterministic for a fixed seed >= 0.
 
@@ -550,7 +549,7 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
     rng = np.random.default_rng(seed)
     out = []
     for pt in points:
-        r0, phi0 = (pt.r, pt.phi) if hasattr(pt, "r") else (pt[0], pt[1])
+        r0, phi0 = pt
         if not (0 < r0 < R and abs(phi0) < alpha):
             raise DomainError(f"start point ({r0}, {phi0}) is not interior")
         x = np.full(n_walks, r0 * math.cos(phi0))

@@ -16,7 +16,6 @@ means small against the balance actually achieved.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -42,16 +41,6 @@ class ResidualReport:
             raise ValueError("sample_count must be >= 1")
         if self.max_abs_residual < 0:
             raise ValueError("max_abs_residual must be >= 0")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "max_abs_residual": self.max_abs_residual,
-                "sample_count": self.sample_count,
-                "excluded_bands": [list(b) for b in self.excluded_bands],
-            },
-            sort_keys=True,
-        )
 
 
 def _rel(terms) -> float:

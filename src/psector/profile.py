@@ -23,7 +23,7 @@ constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class AngleMap:
     a: float
     k: float
     lam: float
-    tol: float = ROOT_TOL
 
     @classmethod
     def for_params(cls, nu: float, p: float) -> "AngleMap":
@@ -151,7 +150,7 @@ def theta_of_phi(phi: float, amap: AngleMap) -> float:
     lo, flo = 0.0, -target
     hi, fhi = math.pi, bound - target
     for it in range(200):
-        if hi - lo <= amap.tol:
+        if hi - lo <= ROOT_TOL:
             break
         # alternate secant and bisection steps; the forced bisection keeps the
         # bracket shrinking geometrically where the map is nearly flat (the
@@ -159,7 +158,7 @@ def theta_of_phi(phi: float, amap: AngleMap) -> float:
         cand = None
         if it % 2 == 0 and flo != fhi:
             cand = lo - flo * (hi - lo) / (fhi - flo)
-            if not (lo + 0.1 * amap.tol < cand < hi - 0.1 * amap.tol):
+            if not (lo + 0.1 * ROOT_TOL < cand < hi - 0.1 * ROOT_TOL):
                 cand = None
         if cand is None:
             cand = 0.5 * (lo + hi)
@@ -333,7 +332,6 @@ class AngularProfile:
     band_inner_min_f: float
     band_outer_min_fprime: float
     boundary_residual: float
-    _pchip: object = field(default=None, repr=False)
 
     @property
     def case(self) -> str:
@@ -360,13 +358,6 @@ class AngularProfile:
 
     def fprime_exact(self, phi: float) -> float:
         return self.evaluator.eval(phi)[1]
-
-    def interpolator(self):
-        if self._pchip is None:
-            from scipy.interpolate import PchipInterpolator
-
-            self._pchip = PchipInterpolator(self.phi, self.f)
-        return self._pchip
 
 
 def _check_invariants(prof: AngularProfile) -> list[str]:
@@ -395,7 +386,7 @@ def _check_invariants(prof: AngularProfile) -> list[str]:
     return bad
 
 
-def build_profile(sector, p, n_samples: int = 129) -> AngularProfile:
+def build_profile(nu, p, n_samples: int = 129) -> AngularProfile:
     """Construct and validate the angular profile for the sector and exponent.
 
     n_samples is rounded up to an odd count so phi = 0 is a node.  The
@@ -403,7 +394,7 @@ def build_profile(sector, p, n_samples: int = 129) -> AngularProfile:
     p = inf, nu < 1); p in (1, 2) stream conjugation of the p/(p-1) profile.
     The table is the evaluator's values at the nodes.
     """
-    nu = _as_nu(sector)
+    nu = _as_nu(nu)
     p = _as_p(p)
     if n_samples < 16:
         raise DomainError(f"n_samples must be >= 16, got {n_samples}")
@@ -452,14 +443,6 @@ def _band_outer(phi, fp, alpha):
 
 
 def eval_u(point: PolarPoint, prof: AngularProfile) -> float:
-    """r**k * f(phi) with f interpolated from the table (monotone cubic)."""
-    alpha = prof.half_aperture
-    if not abs(point.phi) <= alpha + 1e-12:
-        raise DomainError(f"point at phi = {point.phi} lies outside the sector")
-    return point.r**prof.k * float(prof.interpolator()(point.phi))
-
-
-def eval_u_exact(point: PolarPoint, prof: AngularProfile) -> float:
     """r**k * f(phi) through the exact evaluator (no table interpolation)."""
     alpha = prof.half_aperture
     if not abs(point.phi) <= alpha + 1e-12:

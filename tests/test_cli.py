@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psector
 from psector import measure
 from psector.cli import CliConfig, main
 from psector.exponent import DomainError
@@ -253,6 +258,24 @@ class TestVerifyCommand:
         # run_suites names report i's files <experiment_id>_<ii>
         want = {f"{rid}_{i:02d}.json" for i, rid in enumerate(ids)}
         assert want == {f.name for f in tmp_path.glob("*.json")}
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only.  A None entry in sys.modules makes
+        # every scipy import fail; it takes a fresh interpreter, since this one
+        # has imported scipy for other tests
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from psector.cli import main\n"
+            "from psector.profile import PolarPoint, build_profile, eval_u\n"
+            "assert eval_u(PolarPoint(0.5, 0.3), build_profile(2.0, 3.0)) > 0\n"
+            "sys.exit(main(['verify', 'all', '--quick', '--out-dir', sys.argv[1]]))\n"
+        )
+        src = str(Path(psector.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfig:

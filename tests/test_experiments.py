@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from psector import experiments
+from psector import experiments, verify
 from psector.exponent import DomainError
 from psector.experiments import (
     mc_agreement,
@@ -20,6 +20,11 @@ class TestExponentTable:
     def test_default_grid_passes(self):
         rep = run_exponent_table()
         assert rep.passed, rep.first_failure()
+        # the default grid is verify's
+        assert rep.parameters == {
+            "nu_grid": verify.NU_GRID,
+            "p_grid": [f"{p:g}" for p in verify.P_GRID] + ["inf"],
+        }
 
     def test_rows_cover_grid(self):
         rep = run_exponent_table([1.0, 2.0], [2.0, 3.0])

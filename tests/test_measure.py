@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from psector import _multigrid, measure
-from psector.exponent import DomainError, SectorSpec
+from psector.exponent import DomainError
 from psector.measure import (
     CAPPED_STOP,
     FULL_ARC,
@@ -443,6 +443,12 @@ class TestComparability:
         with pytest.raises(DomainError):
             comparability_constants(harmonic_sol, 1.0, region="S_half")
 
+    @pytest.mark.parametrize("r_window", [(0.0, 0.5), (0.5, 0.2), (0.2, 1.5)])
+    def test_window_validation(self, harmonic_sol, r_window):
+        # the same window rule as fit_slope: strictly inside (0, 1), increasing
+        with pytest.raises(DomainError, match="strictly inside"):
+            comparability_constants(harmonic_sol, 1.0, r_window=r_window)
+
 
 class TestInnerArc:
     def test_lower_certificate_on_half_ball(self):
@@ -550,14 +556,6 @@ class TestWalkOnSpheres:
         got = _side_distance(x, y, np.sqrt(x * x + y * y),
                              math.cos(alpha), math.sin(alpha))
         assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_accepts_polar_points(self):
-        from psector.profile import PolarPoint
-
-        out = mc_harmonic_measure(1.0, 1.0, [PolarPoint(0.5, 0.0)], 2000, seed=3)
-        assert 0.0 < out[0][0] < 1.0
-        assert mc_harmonic_measure(SectorSpec(1.0), 1.0, [(0.5, 0.0)], 2000, seed=3) == out
-
 
 class TestFieldCsv:
     @pytest.mark.parametrize("problem", [

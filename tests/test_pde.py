@@ -1,9 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
+from psector import verify
 from psector.exponent import DomainError
 from psector.pde import (
     RIDGE_BAND_EPS,
@@ -34,12 +34,6 @@ class TestSeparationResidual:
         r = separation_residual(prof.f[i], prof.fprime[i], fpp, prof.k, 4.0,
                                 relative=True)
         assert abs(r) <= 1e-4
-
-    def test_p2_reduced_form(self):
-        # for p = 2 the balance is f'' + nu^2 f = 0; cos(nu phi) is exact
-        nu, phi = 2.0, 0.35
-        f, fpp = math.cos(nu * phi), -nu * nu * math.cos(nu * phi)
-        assert fpp + nu * nu * f == pytest.approx(0.0, abs=1e-14)
 
     def test_inf_is_b0_form(self):
         # p = inf takes b = 1/(p-2) = 0, bitwise the sup-norm equation
@@ -185,12 +179,6 @@ class TestReports:
         half_plane = profile_corner_bands(build_profile(1.0, math.inf, 65))
         assert half_plane == [(-RIDGE_BAND_EPS, RIDGE_BAND_EPS)]
 
-    def test_report_json(self):
-        rep = ResidualReport(1e-5, 40, [(-0.1, 0.1)])
-        data = json.loads(rep.to_json())
-        assert data == {"max_abs_residual": 1e-5, "sample_count": 40,
-                        "excluded_bands": [[-0.1, 0.1]]}
-
     def test_table_is_exact_profile(self):
         # separation_report's ridge difference takes f[i] for f_exact(phi[i])
         for nu, p in PROFILE_CASES:
@@ -204,3 +192,20 @@ class TestReports:
             ResidualReport(-1.0, 10)
         with pytest.raises(ValueError):
             ResidualReport(0.0, 0)
+
+
+class TestPdeSuite:
+    @pytest.mark.parametrize("quick, cases", [(False, 8), (True, 3)])
+    def test_separation_checked_on_every_case(self, monkeypatch, quick, cases):
+        calls = []
+
+        def counted(prof, n):
+            calls.append((prof.nu, prof.p))
+            return separation_report(prof, n)
+
+        monkeypatch.setattr(verify, "separation_report", counted)
+        [rep] = verify.pde_suite(quick)
+        assert rep.passed, rep.first_failure()
+        # one report per case, the p = inf cases included
+        assert len(calls) == cases
+        assert math.inf in [p for _, p in calls]

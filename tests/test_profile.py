@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psector.exponent import DomainError, SectorSpec, radial_exponent
+from psector.exponent import DomainError, radial_exponent
 from psector.profile import (
     CASE_GT2,
     CASE_INF,
@@ -19,7 +19,6 @@ from psector.profile import (
     StreamEvaluator,
     build_profile,
     eval_u,
-    eval_u_exact,
     phi_of_theta,
     read_profile_csv,
     theta_of_phi,
@@ -204,10 +203,6 @@ class TestBuildProfile:
         with pytest.raises(DomainError):
             build_profile(1.0, 3.0, 8)
 
-    def test_accepts_sector_spec(self):
-        prof = build_profile(SectorSpec(2.0), 3.0, 65)
-        assert np.array_equal(prof.f, build_profile(2.0, 3.0, 65).f)
-
     def test_p_near_2_uses_closed_form(self):
         prof = build_profile(1.5, 2.0 + 1e-9, 65)
         assert type(prof.evaluator) is ClosedFormEvaluator and prof.p == 2.0
@@ -222,11 +217,12 @@ class TestEvalU:
         prof = build_profile(1.0, 2.0, 129)
         assert eval_u(PolarPoint(2.0, 0.0), prof) == pytest.approx(2.0, abs=1e-12)
 
-    def test_interpolation_close_to_exact(self):
-        prof = build_profile(2.0, 3.0, 129)
-        pt = PolarPoint(0.5, math.pi / 8)
-        exact = eval_u_exact(pt, prof)
-        assert eval_u(pt, prof) == pytest.approx(exact, rel=1e-6)
+    def test_exact_between_nodes(self):
+        # phi = 0.3 is no node of the 17-sample table; u = r^2 cos(2 phi) at p = 2
+        prof = build_profile(2.0, 2.0, 17)
+        assert 0.3 not in prof.phi
+        assert eval_u(PolarPoint(0.5, 0.3), prof) == pytest.approx(
+            0.25 * math.cos(0.6), rel=1e-15)
 
     def test_outside_sector(self):
         prof = build_profile(2.0, 3.0, 129)
