@@ -100,13 +100,14 @@ def radial_exponent_roots(nu, p) -> tuple[float, float]:
         raise DomainError("nu = 1/2 requires the limit path of radial_exponent")
     sq = math.sqrt(_discriminant(nu, p))
     den = 2.0 * (p - 1.0) * (2.0 * nu - 1.0)
-    n = _conjugate_numerator(nu, p, sq)
     if nu < 1.0:
         # k1's numerator cancels to O(2nu - 1) here; k1 * k2 = nu^2/(2nu - 1)
         # gives k1 = 2(p-1) nu^2 / n, which does not
+        n = _conjugate_numerator(nu, p, sq)
         return 2.0 * (p - 1.0) * nu * nu / n, n / den
     k1 = ((nu - 1.0) * sq + (2.0 - p) * (1.0 - 2.0 * nu) + nu * nu * p) / den
-    return k1, n / den
+    # and for nu >= 1 it is n that cancels, so k2 comes from the product too
+    return k1, nu * nu / ((2.0 * nu - 1.0) * k1)
 
 
 def exponent_condition_residual(k: float, nu, p) -> float:

@@ -16,8 +16,12 @@ does not exist) and `eval(phi) -> (f, f', theta)`.  For the angle-map round
 trip each also gives `map_samples(rng, n)`, the angles to check (none at
 p = 2), and the others the map `theta_of` with its inverse `phi_of`.
 build_profile picks the evaluator and tabulates (phi, theta, f, f') through
-it on a uniform phi grid, normalized to f(0) = 1, with the realized band
-constants.
+it on a uniform phi grid, in one call, normalized to f(0) = 1, with the
+realized band constants.
+
+The evaluators, the angle map and its inverse take a float or an array of
+any shape and work elementwise.  A float runs through the same array code,
+so its result equals the matching element of an array call bit for bit.
 """
 
 from __future__ import annotations
@@ -115,80 +119,119 @@ class AngleMap:
         return ((self.ak - 1.0) / self.ak) ** (-(self.k - 1.0) / 2.0)
 
 
-def phi_of_theta(theta: float, amap: AngleMap) -> float:
-    """Image of theta under the angle map; +-pi maps to +-pi/nu."""
-    if not abs(theta) <= math.pi + 1e-12:
-        raise DomainError(f"theta must lie in [-pi, pi], got {theta}")
+def _flat(x):
+    """x as a flat float64 array, with the shape to give results back in."""
+    a = np.asarray(x, dtype=float)
+    return a.reshape(-1), a.shape
+
+
+def _shaped(shape, *cols):
+    """Columns computed on a flat array, back in the input's shape; a scalar
+    input gets numpy float64 scalars, computed by the same array loops."""
+    out = tuple(c.reshape(shape) if shape else c[0] for c in cols)
+    return out if len(out) > 1 else out[0]
+
+
+def _check_bound(x, bound: float, what: str) -> None:
+    bad = ~(np.abs(x) <= bound + 1e-12)
+    if bad.any():
+        raise DomainError(f"{what} = {bound}, got {x[bad][0]}")
+
+
+def _phi_map(amap: AngleMap):
+    """The map theta -> phi on flat arrays in [-pi, pi], its constants bound
+    once."""
     if amap.degenerate:
-        return theta
+        return np.copy
     ak = amap.ak
     if ak <= 1.0:
         raise DomainError(f"angle map requires a*k > 1, got {ak}")
-    if abs(theta) >= math.pi - THETA_PI_EPS:
-        return math.copysign(math.pi / amap.nu, theta)
-    t = math.tan(0.5 * theta)
-    arcsum = math.atan(amap.lam * t) + math.atan(t / amap.lam)
-    return theta - (1.0 - 1.0 / amap.k) * math.sqrt(ak) / math.sqrt(ak - 1.0) * arcsum
+    lam, end = amap.lam, math.pi / amap.nu
+    scale = (1.0 - 1.0 / amap.k) * math.sqrt(ak) / math.sqrt(ak - 1.0)
+
+    def phi(theta):
+        t = np.tan(0.5 * theta)
+        out = theta - scale * (np.arctan(lam * t) + np.arctan(t / lam))
+        return np.where(np.abs(theta) >= math.pi - THETA_PI_EPS, np.copysign(end, theta), out)
+
+    return phi
 
 
-def theta_of_phi(phi: float, amap: AngleMap) -> float:
-    """Inverse of the angle map by safeguarded secant over a bisection bracket.
+def phi_of_theta(theta, amap: AngleMap):
+    """Image of theta (a float or an array) under the angle map; +-pi maps
+    to +-pi/nu."""
+    th, shape = _flat(theta)
+    _check_bound(th, math.pi, "|theta| must not exceed pi")
+    return _shaped(shape, _phi_map(amap)(th))
 
-    Odd symmetry is applied exactly, so theta(-phi) = -theta(phi) to the bit.
+
+def theta_of_phi(phi, amap: AngleMap):
+    """Inverse of the angle map, elementwise, by safeguarded secant over a
+    bisection bracket.
+
+    Every element runs the same step sequence in lockstep: a secant step on
+    even iterations (a bisection where the secant leaves the bracket
+    interior), a bisection on odd ones.  An element stops for good when its
+    bracket is ROOT_TOL wide, its candidate reaches float resolution or the
+    map hits its target exactly, so its result does not depend on the other
+    elements.  Odd symmetry is applied exactly: theta(-phi) = -theta(phi) to
+    the bit.
     """
+    x, shape = _flat(phi)
     bound = math.pi / amap.nu
-    if not abs(phi) <= bound + 1e-12:
-        raise DomainError(f"|phi| must not exceed pi/nu = {bound}, got {phi}")
+    _check_bound(x, bound, "|phi| must not exceed pi/nu")
     if amap.degenerate:
-        return phi
-    target = min(abs(phi), bound)
-    if target == 0.0:
-        return 0.0
-    if target >= bound - 1e-13 * max(1.0, bound):
-        # extended-domain endpoint: the map is flat there, snap exactly
-        return math.copysign(math.pi, phi)
-    lo, flo = 0.0, -target
-    hi, fhi = math.pi, bound - target
+        return _shaped(shape, x.copy())
+    phi_map = _phi_map(amap)
+    target = np.minimum(np.abs(x), bound)
+    # extended-domain endpoint: the map is flat there, snap exactly
+    snap = target >= bound - 1e-13 * max(1.0, bound)
+    lo, flo = np.zeros_like(target), -target
+    hi, fhi = np.full_like(target, math.pi), bound - target
+    live = (target > 0.0) & ~snap
     for it in range(200):
-        if hi - lo <= ROOT_TOL:
+        live = live & (hi - lo > ROOT_TOL)
+        if not np.count_nonzero(live):
             break
-        # alternate secant and bisection steps; the forced bisection keeps the
-        # bracket shrinking geometrically where the map is nearly flat (the
-        # cubic degeneracy of the p = inf map at theta = 0)
-        cand = None
-        if it % 2 == 0 and flo != fhi:
-            cand = lo - flo * (hi - lo) / (fhi - flo)
-            if not (lo + 0.1 * ROOT_TOL < cand < hi - 0.1 * ROOT_TOL):
-                cand = None
-        if cand is None:
-            cand = 0.5 * (lo + hi)
-        if cand <= lo or cand >= hi:
-            break  # bracket is at float resolution
-        fc = phi_of_theta(cand, amap) - target
-        if fc == 0.0:
-            lo = hi = cand
-            break
-        if fc < 0.0:
-            lo, flo = cand, fc
-        else:
-            hi, fhi = cand, fc
-    return math.copysign(0.5 * (lo + hi), phi)
+        cand = 0.5 * (lo + hi)
+        if it % 2 == 0:
+            # alternate secant and bisection steps; the forced bisection keeps
+            # the bracket shrinking geometrically where the map is nearly flat
+            # (the cubic degeneracy of the p = inf map at theta = 0)
+            moved = flo != fhi
+            sec = lo - flo * (hi - lo) / np.where(moved, fhi - flo, 1.0)
+            inside = moved & (lo + 0.1 * ROOT_TOL < sec) & (sec < hi - 0.1 * ROOT_TOL)
+            np.copyto(cand, sec, where=inside)
+        live = live & (lo < cand) & (cand < hi)  # else the bracket is at float resolution
+        fc = phi_map(cand) - target
+        # fc == 0 moves both ends onto cand
+        up, down = live & (fc <= 0.0), live & (fc >= 0.0)
+        np.copyto(lo, cand, where=up)
+        np.copyto(flo, fc, where=up)
+        np.copyto(hi, cand, where=down)
+        np.copyto(fhi, fc, where=down)
+        live = live & (fc != 0.0)
+    theta = np.where(snap, math.pi, np.where(target == 0.0, 0.0, 0.5 * (lo + hi)))
+    return _shaped(shape, np.copysign(theta, x))
 
 
-def _f_from_theta(theta: float, amap: AngleMap) -> tuple[float, float]:
-    """(f, f') at a mapped angle: c*w^((k-1)/2)*cos(theta) and its phi-derivative
-    -k*c*w^((k-1)/2)*sin(theta), with w = 1 - cos^2(theta)/(ak).
+def _f_from_theta(theta, amap: AngleMap):
+    """(f, f') at mapped angles: c*w^((k-1)/2)*cos(theta) and its
+    phi-derivative -k*c*w^((k-1)/2)*sin(theta), with w = 1 - cos^2(theta)/(ak).
 
-    Evaluated as (w/w0)^((k-1)/2) with w0 = w(0), which folds in the
-    normalization c and makes f(0) = 1 exact.
+    Evaluated as w^e / w0^e with e = (k-1)/2 and w0 = w(0), which folds in
+    the normalization c and makes f(0) = 1 exact.  The two powers are taken
+    separately: the power of the rounded ratio w/w0 would carry its rounding
+    e times, which put the stream profile's peak g_max one ulp off at nu = 4.
     """
     k = amap.k
+    cos = np.cos(theta)
     if amap.degenerate:
-        return math.cos(theta), -math.sin(theta)
-    w = 1.0 - math.cos(theta) ** 2 / amap.ak
-    w0 = 1.0 - 1.0 / amap.ak
-    wp = (w / w0) ** ((k - 1.0) / 2.0)
-    return wp * math.cos(theta), -k * wp * math.sin(theta)
+        return cos, -np.sin(theta)
+    w = 1.0 - cos * cos / amap.ak
+    e = (k - 1.0) / 2.0
+    wp = np.power(w, e) / np.power(1.0 - 1.0 / amap.ak, e)
+    return wp * cos, -k * wp * np.sin(theta)
 
 
 class ClosedFormEvaluator:
@@ -199,13 +242,14 @@ class ClosedFormEvaluator:
     def __init__(self, nu: float):
         self.nu = self.k = nu
 
-    def eval(self, phi: float) -> tuple[float, float, float]:
-        th = self.nu * phi
-        return math.cos(th), -self.nu * math.sin(th), th
+    def eval(self, phi):
+        x, shape = _flat(phi)
+        th = self.nu * x
+        return _shaped(shape, np.cos(th), -self.nu * np.sin(th), th)
 
     def map_samples(self, rng, n: int):
         # theta = nu*phi exactly: no root finding to round-trip
-        return ()
+        return np.empty(0)
 
 
 class AngleMapEvaluator:
@@ -220,18 +264,15 @@ class AngleMapEvaluator:
         self.k, self.c = self.amap.k, self.amap.normalization
         self.corners = (0.0,) if p == math.inf else ()
 
-    def eval(self, phi: float) -> tuple[float, float, float]:
-        alpha_ext = math.pi / self.amap.nu
-        if not abs(phi) <= alpha_ext + 1e-12:
-            raise DomainError(f"|phi| exceeds the extended domain bound {alpha_ext}")
-        th = theta_of_phi(phi, self.amap)
-        f, fp = _f_from_theta(th, self.amap)
-        return f, fp, th
+    def eval(self, phi):
+        x, shape = _flat(phi)
+        th = theta_of_phi(x, self.amap)
+        return _shaped(shape, *_f_from_theta(th, self.amap), th)
 
-    def theta_of(self, phi: float) -> float:
+    def theta_of(self, phi):
         return theta_of_phi(phi, self.amap)
 
-    def phi_of(self, theta: float) -> float:
+    def phi_of(self, theta):
         return phi_of_theta(theta, self.amap)
 
     def map_samples(self, rng, n: int):
@@ -251,19 +292,20 @@ class PlateauEvaluator:
         self.pj = self.alpha - math.pi / 2.0
         self.corners = (-self.pj, self.pj)
 
-    def eval(self, phi: float) -> tuple[float, float, float]:
-        if not abs(phi) <= self.alpha + 1e-12:
-            raise DomainError(f"|phi| exceeds the sector bound {self.alpha}")
-        if abs(phi) <= self.pj:
-            return 1.0, 0.0, 0.0
-        th = abs(phi) - self.pj
-        return math.cos(th), -math.copysign(math.sin(th), phi), math.copysign(th, phi)
+    def eval(self, phi):
+        x, shape = _flat(phi)
+        _check_bound(x, self.alpha, "|phi| must not exceed the sector bound")
+        flank = np.abs(x) > self.pj
+        th = np.where(flank, np.abs(x) - self.pj, 0.0)
+        return _shaped(shape, np.where(flank, np.cos(th), 1.0),
+                       np.where(flank, -np.copysign(np.sin(th), x), 0.0),
+                       np.where(flank, np.copysign(th, x), 0.0))
 
-    def theta_of(self, phi: float) -> float:
-        return math.copysign(abs(phi) - self.pj, phi)
+    def theta_of(self, phi):
+        return np.copysign(np.abs(phi) - self.pj, phi)
 
-    def phi_of(self, theta: float) -> float:
-        return math.copysign(abs(theta) + self.pj, theta)
+    def phi_of(self, theta):
+        return np.copysign(np.abs(theta) + self.pj, theta)
 
     def map_samples(self, rng, n: int):
         # the plateau flattens the map; it is invertible on the flanks only
@@ -287,26 +329,27 @@ class StreamEvaluator:
         # computed value there makes f(0) = 1 exact
         self.g_max = self.pair(self.alpha)[3]
 
-    def pair(self, psi: float) -> tuple[float, float, float, float, float]:
-        """(theta, f, f', g, g') at an extended angle psi in [-pi/(2 nu), pi/nu],
+    def pair(self, psi):
+        """(theta, f, f', g, g') at extended angles psi in [-pi/(2 nu), pi/nu],
         unnormalized: f, f' of the conjugate profile and, with
         m = (k'^2 f^2 + f'^2)^((p'-2)/2), g = -(1/lam) f' m and g' = k' f m."""
         amap = self.amap
-        th = theta_of_phi(psi, amap)
+        x, shape = _flat(psi)
+        th = theta_of_phi(x, amap)
         f, fp = _f_from_theta(th, amap)
         mod = (amap.k * amap.k * f * f + fp * fp) ** ((amap.p - 2.0) / 2.0)
-        return th, f, fp, -(1.0 / self.lam) * fp * mod, amap.k * f * mod
+        return _shaped(shape, th, f, fp, -(1.0 / self.lam) * fp * mod, amap.k * f * mod)
 
-    def eval(self, phi: float) -> tuple[float, float, float]:
-        if not abs(phi) <= self.alpha + 1e-12:
-            raise DomainError(f"|phi| exceeds the sector bound {self.alpha}")
-        th, _, _, g, gp = self.pair(phi + self.alpha)
-        return g / self.g_max, gp / self.g_max, th
+    def eval(self, phi):
+        x, shape = _flat(phi)
+        _check_bound(x, self.alpha, "|phi| must not exceed the sector bound")
+        th, _, _, g, gp = self.pair(x + self.alpha)
+        return _shaped(shape, g / self.g_max, gp / self.g_max, th)
 
-    def theta_of(self, psi: float) -> float:
+    def theta_of(self, psi):
         return theta_of_phi(psi, self.amap)
 
-    def phi_of(self, theta: float) -> float:
+    def phi_of(self, theta):
         return phi_of_theta(theta, self.amap)
 
     def map_samples(self, rng, n: int):
@@ -353,10 +396,10 @@ class AngularProfile:
     def half_aperture(self) -> float:
         return math.pi / (2.0 * self.nu)
 
-    def f_exact(self, phi: float) -> float:
+    def f_exact(self, phi):
         return self.evaluator.eval(phi)[0]
 
-    def fprime_exact(self, phi: float) -> float:
+    def fprime_exact(self, phi):
         return self.evaluator.eval(phi)[1]
 
 
@@ -412,7 +455,7 @@ def build_profile(nu, p, n_samples: int = 129) -> AngularProfile:
         ev = AngleMapEvaluator(nu, p)
     else:
         ev = StreamEvaluator(nu, p)
-    f, fp, theta = (np.array(col) for col in zip(*(ev.eval(x) for x in phi)))
+    f, fp, theta = ev.eval(phi)
     prof = AngularProfile(
         nu=nu, p=p, evaluator=ev,
         phi=phi, theta=theta, f=f, fprime=fp,

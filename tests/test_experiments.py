@@ -122,6 +122,17 @@ class TestReportSerialization:
         assert data["passed"] is True
         assert data["experiment_id"] == "phragmen"
 
+    @pytest.mark.parametrize("run, args", [(run_stream_consistency, (2.0, 1.5)),
+                                           (run_phragmen_check, (2.0, math.inf))])
+    def test_rows_hold_plain_values(self, tmp_path, run, args):
+        # the rows come from array evaluations; a numpy array left in a cell
+        # would make write_json refuse the report
+        rep = run(*args)
+        rep.write_json(tmp_path / "rep.json")
+        kinds = {type(v) for row in rep.rows for v in row.values()}
+        assert kinds <= {float, int, str}, kinds
+        assert json.loads((tmp_path / "rep.json").read_text())["rows"] == rep.rows
+
     def test_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_exponent_table([1.0, 2.0], [2.0, 3.0]).write_csv(a)

@@ -94,6 +94,14 @@ class TestRoots:
         assert k1 == pytest.approx(1.6228390306071099, abs=1e-12)
         assert k2 == pytest.approx(0.8216054138373345, abs=1e-12)
 
+    def test_k2_no_cancellation_above_one(self):
+        # the conjugate root's numerator cancels for nu > 1; references from
+        # a 60-digit evaluation of k2 = n / (2 (p-1) (2 nu - 1))
+        for nu, p, ref in ((1e4, 1.0001, 1.0000999799978906659e-4),
+                           (100.0, 1.001, 1.0192434387205355932e-3),
+                           (10.0, 1.01, 1.2167272515864353131e-2)):
+            assert radial_exponent_roots(nu, p)[1] == pytest.approx(ref, rel=1e-12)
+
     def test_product_identity(self):
         # both roots of the defining quadratic multiply to nu^2/(2 nu - 1)
         for nu, p in [(2.0, 4.0), (0.75, 3.0), (1.3, 10.0), (4.0, 2.5)]:

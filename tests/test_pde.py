@@ -79,7 +79,7 @@ class TestPolarResidual:
 
     def test_harmonic_field_laplace_form(self):
         nu = 2.0
-        fld = lambda r, f: r**nu * math.cos(nu * f)  # noqa: E731
+        fld = lambda r, f: r**nu * np.cos(nu * f)  # noqa: E731
         res = laplace_polar_residual(fld, PolarPoint(1.0, 0.2), 1e-4, relative=True)
         assert abs(res) <= 1e-6
 
@@ -94,7 +94,7 @@ class TestPolarResidual:
         calls = []
 
         def fld(a, b):
-            calls.append((a, b))
+            calls.extend(zip(np.ravel(a).tolist(), np.ravel(b).tolist()))
             return 1.0 + a * a * b
 
         polar_plap_residual(fld, PolarPoint(1.0, 0.1), 3.0, 1e-3)
@@ -115,7 +115,7 @@ class TestInfLapResidual:
 
     def test_cone_field(self):
         x0, y0 = -0.3, 0.4
-        fld = lambda x, y: math.hypot(x - x0, y - y0)  # noqa: E731
+        fld = lambda x, y: np.hypot(x - x0, y - y0)  # noqa: E731
         for step in (1e-3, 5e-4):
             res = inf_lap_residual(fld, (0.5, 0.1), step, relative=True)
             assert abs(res) <= 1e-6
@@ -124,7 +124,7 @@ class TestInfLapResidual:
         prof = build_profile(1.0, math.inf, 257)
 
         def fld(x, y):
-            return math.hypot(x, y) ** prof.k * prof.f_exact(math.atan2(y, x))
+            return np.hypot(x, y) ** prof.k * prof.f_exact(np.arctan2(y, x))
 
         pt = (math.cos(0.5), math.sin(0.5))
         assert abs(inf_lap_residual(fld, pt, 1e-3, relative=True)) <= 1e-3
@@ -180,11 +180,12 @@ class TestReports:
         assert half_plane == [(-RIDGE_BAND_EPS, RIDGE_BAND_EPS)]
 
     def test_table_is_exact_profile(self):
-        # separation_report's ridge difference takes f[i] for f_exact(phi[i])
+        # separation_report's ridge difference takes f[i] for f_exact(phi[i]);
+        # a scalar f_exact equals the array element (tests/test_profile.py)
         for nu, p in PROFILE_CASES:
             for n in (129, 1025):
                 prof = build_profile(nu, p, n)
-                exact = [prof.f_exact(float(x)) for x in prof.phi]
+                exact = prof.f_exact(prof.phi)
                 assert np.array_equal(prof.f, exact), (nu, p, n)
 
     def test_report_validation(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psector.exponent import DomainError, radial_exponent
+from psector.verify import PROFILE_CASES
 from psector.profile import (
     CASE_GT2,
     CASE_INF,
@@ -26,6 +27,10 @@ from psector.profile import (
 )
 
 GRID = [(nu, p) for nu in (0.5, 1.0, 2.0, 4.0) for p in (1.5, 2.0, 3.0, 4.0, math.inf)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -114,11 +119,12 @@ class TestEvaluators:
         for nu, p in [(2.0, 3.0), (1.0, 4.0), (2.0, math.inf), (2.0, 1.5)]:
             prof = build_profile(nu, p, 129)
             alpha = prof.half_aperture
-            for phi in np.linspace(-alpha * 0.9, alpha * 0.9, 50):
+            phis = np.linspace(-alpha * 0.9, alpha * 0.9, 50)
+            nums = (prof.f_exact(phis + h) - prof.f_exact(phis - h)) / (2 * h)
+            for phi, num, fp in zip(phis, nums, prof.fprime_exact(phis)):
                 if p == math.inf and abs(phi) < 0.01:
                     continue  # ridge
-                num = (prof.f_exact(phi + h) - prof.f_exact(phi - h)) / (2 * h)
-                assert prof.fprime_exact(phi) == pytest.approx(
+                assert fp == pytest.approx(
                     num, rel=1e-5, abs=1e-7
                 ), (nu, p, phi)
 
@@ -130,11 +136,60 @@ class TestEvaluators:
         assert prof.f_exact(math.pi / 8) == pytest.approx(math.sqrt(2) / 2)
         assert prof.fprime_exact(math.pi / 8) == pytest.approx(-math.sqrt(2))
 
-    @pytest.mark.parametrize("nu, p", [(1.0, 2.0), (2.0, 3.0), (0.5, math.inf), (2.0, 1.5)])
+    @pytest.mark.parametrize("nu, p", PROFILE_CASES)
     def test_table_is_evaluator_at_nodes(self, nu, p):
+        # the table is one array call; a float runs through the same array
+        # code, so each scalar result equals the table entry bit for bit
         prof = build_profile(nu, p, 129)
-        for i, x in enumerate(prof.phi):
-            assert (prof.f[i], prof.fprime[i], prof.theta[i]) == prof.evaluator.eval(x)
+        scalar = [prof.evaluator.eval(x) for x in prof.phi]
+        for i, vals in enumerate(scalar):
+            assert (prof.f[i], prof.fprime[i], prof.theta[i]) == vals
+        assert np.array_equal(_bits(scalar),
+                              _bits(np.stack([prof.f, prof.fprime, prof.theta], axis=1)))
+
+
+class TestArrayPath:
+    """A float goes through the same array code as a whole grid, so each
+    scalar result equals the array element bit for bit (for the table, see
+    TestEvaluators.test_table_is_evaluator_at_nodes)."""
+
+    @pytest.mark.parametrize("nu, p", [(nu, p) for nu, p in PROFILE_CASES
+                                       if p != 2.0 and (p < math.inf or nu >= 1.0)])
+    def test_scalar_map_is_array_element(self, nu, p):
+        # map_samples of the angle-map and stream cases, which for the stream
+        # reach into the extended domain up to pi/nu
+        ev = build_profile(nu, p, 17).evaluator
+        xs = ev.map_samples(np.random.default_rng(7), 10)
+        thetas = ev.theta_of(xs)
+        fns = [ev.theta_of, ev.phi_of, ev.pair if p < 2.0 else ev.eval]
+        for fn, arg in zip(fns, (xs, thetas, xs)):
+            scalar = [fn(x) for x in arg.tolist()]
+            assert np.array_equal(_bits(scalar), _bits(np.stack(fn(arg), axis=-1))), fn
+
+    @pytest.mark.parametrize("nu, p", [(2.0, 3.0), (4.0, 3.0), (2.0, math.inf), (0.5, 3.0)])
+    def test_theta_is_odd_on_arrays(self, nu, p):
+        amap = AngleMap.for_params(nu, p)
+        a = np.linspace(0.0, math.pi / nu, 257)
+        assert np.array_equal(_bits(theta_of_phi(-a, amap)), _bits(-theta_of_phi(a, amap)))
+
+    def test_one_bad_element_raises(self):
+        amap = AngleMap.for_params(2.0, 3.0)
+        with pytest.raises(DomainError):
+            theta_of_phi(np.array([0.1, -0.2, math.pi / 2 + 0.1]), amap)
+        with pytest.raises(DomainError):
+            phi_of_theta(np.array([0.1, -3.2]), amap)
+        for nu, p in [(2.0, 3.0), (0.75, math.inf), (2.0, 1.5)]:
+            ev = build_profile(nu, p, 17).evaluator
+            phi = np.linspace(-1.0, 1.0, 9) * math.pi / (2.0 * nu)
+            phi[3] = 2.5 * math.pi / nu
+            with pytest.raises(DomainError):
+                ev.eval(phi)
+
+    def test_stream_peak_is_one(self):
+        # f(0) = g(alpha)/g_max reads exactly 1, alone and inside a grid
+        ev = build_profile(4.0, 1.5, 17).evaluator
+        assert ev.eval(0.0)[0] == 1.0
+        assert ev.eval(np.linspace(-0.3, 0.3, 7))[0][3] == 1.0
 
 
 class TestBuildProfile:
