@@ -117,12 +117,15 @@ class MeasureSolution:
     # the energy test refused it, None where none was tried (p >= 2 stages
     # and the first cycle of a p < 2 stage)
     anderson_history: list = field(default_factory=list)
-    # cycles whose CG solve ran all _multigrid.MAX_CG iterations, which is
-    # where pcg stops when it does not reach CG_RTOL
-    cg_capped: int = 0
     # ||A(u) u - b||_2 / ||b||_2 at the returned field, the coefficients
     # frozen at it with the problem's p; None on a hand-built solution
     final_residual: float | None = None
+
+    @property
+    def cg_capped(self) -> int:
+        """Cycles whose CG solve ran all _multigrid.MAX_CG iterations, which
+        is where pcg stops when it does not reach CG_RTOL."""
+        return sum(its >= _multigrid.MAX_CG for its in self.cg_history)
 
     def ray_values(self, ray_angle: float) -> np.ndarray:
         """Field along a ray, linearly interpolated in phi between columns."""
@@ -427,7 +430,6 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         p_history=p_history,
         cg_history=cg_history,
         anderson_history=anderson_history,
-        cg_capped=sum(its >= _multigrid.MAX_CG for its in cg_history),
         final_residual=_multigrid.relative_residual(cE, cN, u),
     )
 

@@ -5,7 +5,8 @@ Each of the paper's four constructions of f is one evaluator:
 * ClosedFormEvaluator, p = 2: f = cos(nu*phi), theta = nu*phi.
 * AngleMapEvaluator, 2 < p <= inf (nu >= 1 at p = inf): an implicit monotone
   angle map theta(phi), defined through an arctan formula, with f and f'
-  explicit in theta.
+  explicit in theta.  theta_of_phi inverts it by bisection on [0, pi], the
+  same BISECT_STEPS halvings for every angle.
 * PlateauEvaluator, p = inf with nu < 1 (aperture beyond pi): a flat plateau
   around phi = 0 with sinusoidal flanks.
 * StreamEvaluator, 1 < p < 2: the stream function of the conjugate-exponent
@@ -49,9 +50,10 @@ CASE_LT2 = "P_LT2_STREAM"
 # near theta = +-pi the tan(theta/2) substitution degenerates; the map value
 # there is the full extended-domain boundary +-pi/nu
 THETA_PI_EPS = 1e-9
-# theta brackets shrink to this width; kept at machine precision because
-# downstream second differences amplify any f noise by 1/h^2
-ROOT_TOL = 5e-16
+# bisection steps of the inverse map: the pi-wide bracket halves to
+# pi * 2**-64 ~ 1.7e-19, float resolution for every theta >= 7.7e-4; kept
+# there because downstream second differences amplify any f noise by 1/h^2
+BISECT_STEPS = 64
 
 
 class ProfileInvariantError(RuntimeError):
@@ -166,16 +168,12 @@ def phi_of_theta(theta, amap: AngleMap):
 
 
 def theta_of_phi(phi, amap: AngleMap):
-    """Inverse of the angle map, elementwise, by safeguarded secant over a
-    bisection bracket.
+    """Inverse of the angle map, elementwise, by bisection on [0, pi].
 
-    Every element runs the same step sequence in lockstep: a secant step on
-    even iterations (a bisection where the secant leaves the bracket
-    interior), a bisection on odd ones.  An element stops for good when its
-    bracket is ROOT_TOL wide, its candidate reaches float resolution or the
-    map hits its target exactly, so its result does not depend on the other
-    elements.  Odd symmetry is applied exactly: theta(-phi) = -theta(phi) to
-    the bit.
+    Every bracket starts pi wide and halves BISECT_STEPS times, so all
+    elements run the same steps and each result depends on its own element
+    only.  Odd symmetry is applied exactly: theta(-phi) = -theta(phi) to the
+    bit.
     """
     x, shape = _flat(phi)
     bound = math.pi / amap.nu
@@ -186,31 +184,11 @@ def theta_of_phi(phi, amap: AngleMap):
     target = np.minimum(np.abs(x), bound)
     # extended-domain endpoint: the map is flat there, snap exactly
     snap = target >= bound - 1e-13 * max(1.0, bound)
-    lo, flo = np.zeros_like(target), -target
-    hi, fhi = np.full_like(target, math.pi), bound - target
-    live = (target > 0.0) & ~snap
-    for it in range(200):
-        live = live & (hi - lo > ROOT_TOL)
-        if not np.count_nonzero(live):
-            break
-        cand = 0.5 * (lo + hi)
-        if it % 2 == 0:
-            # alternate secant and bisection steps; the forced bisection keeps
-            # the bracket shrinking geometrically where the map is nearly flat
-            # (the cubic degeneracy of the p = inf map at theta = 0)
-            moved = flo != fhi
-            sec = lo - flo * (hi - lo) / np.where(moved, fhi - flo, 1.0)
-            inside = moved & (lo + 0.1 * ROOT_TOL < sec) & (sec < hi - 0.1 * ROOT_TOL)
-            np.copyto(cand, sec, where=inside)
-        live = live & (lo < cand) & (cand < hi)  # else the bracket is at float resolution
-        fc = phi_map(cand) - target
-        # fc == 0 moves both ends onto cand
-        up, down = live & (fc <= 0.0), live & (fc >= 0.0)
-        np.copyto(lo, cand, where=up)
-        np.copyto(flo, fc, where=up)
-        np.copyto(hi, cand, where=down)
-        np.copyto(fhi, fc, where=down)
-        live = live & (fc != 0.0)
+    lo, hi = np.zeros_like(target), np.full_like(target, math.pi)
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = phi_map(mid) <= target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     theta = np.where(snap, math.pi, np.where(target == 0.0, 0.0, 0.5 * (lo + hi)))
     return _shaped(shape, np.copysign(theta, x))
 

@@ -90,6 +90,16 @@ class TestPhragmen:
             vals = [row["M_over_Rk"] for row in rep.rows]
             assert max(vals) - min(vals) <= 1e-9
 
+    def test_detects_a_wrong_exponent(self, monkeypatch):
+        # M(R) is sampled from the field, so dividing by R**k with k off by a
+        # relative 1e-6 must break the constancy across decades
+        k_exact = experiments.radial_exponent
+        monkeypatch.setattr(experiments, "radial_exponent",
+                            lambda nu, p: k_exact(nu, p) * (1.0 + 1e-6))
+        for nu, p in [(1.0, 2.0), (2.0, 3.0), (1.0, math.inf), (2.0, math.inf)]:
+            crit = {c["name"]: c["passed"] for c in run_phragmen_check(nu, p).criteria}
+            assert crit["M(R)/R^k constant across decades"] is False, (nu, p)
+
     def test_growth_across_decades(self):
         rep = run_phragmen_check(2.0, 3.0, R_list=(1.0, 10.0, 100.0, 1000.0))
         ms = [row["M"] for row in rep.rows]

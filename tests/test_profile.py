@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psector import profile
 from psector.exponent import DomainError, radial_exponent
 from psector.verify import PROFILE_CASES
 from psector.profile import (
@@ -82,6 +83,28 @@ class TestAngleMap:
         amap = AngleMap.for_params(1.0, 4.0)
         th = theta_of_phi(0.3, amap)
         assert abs(phi_of_theta(th, amap) - 0.3) <= 1e-12
+
+    def test_inverse_runs_a_fixed_step_count(self, amap23, monkeypatch):
+        # every inversion costs BISECT_STEPS map evaluations, wherever phi lies
+        calls = []
+        phi_map = profile._phi_map
+
+        def counted(amap):
+            fn = phi_map(amap)
+
+            def wrapped(theta):
+                calls.append(1)
+                return fn(theta)
+
+            return wrapped
+
+        monkeypatch.setattr(profile, "_phi_map", counted)
+        counts = []
+        for frac in (0.001, 0.01, 0.3, 0.5, 0.7):
+            calls.clear()
+            theta_of_phi(frac * math.pi / 4.0, amap23)
+            counts.append(len(calls))
+        assert counts == [profile.BISECT_STEPS] * 5
 
     def test_inverse_domain(self, amap23):
         with pytest.raises(DomainError):
