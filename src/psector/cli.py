@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
+from . import measure
 from .exponent import (
     DomainError,
     dk_dnu,
@@ -37,12 +38,12 @@ EXIT_NO_CONVERGENCE = 4
 
 @dataclass
 class CliConfig:
-    n_r: int = 256
-    n_phi: int = 256
+    n_r: int = measure.MeasureProblem.n_r
+    n_phi: int = measure.MeasureProblem.n_phi
     samples: int = 129
-    tol: float = 1e-8
-    eps_reg: float = 1e-6
-    max_iter: int = 4000
+    tol: float = measure.MeasureProblem.tol
+    eps_reg: float = measure.MeasureProblem.eps_reg
+    max_iter: int = measure.MeasureProblem.max_iter
     seed: int = 0
     out_dir: str = "."
 
@@ -165,32 +166,22 @@ def cmd_profile(args) -> int:
 def cmd_measure(args) -> int:
     cfg = _load_config(args)
     from .experiments import MC_WALKS, mc_agreement, require_mc_applicable
-    from .measure import (
-        INNER_ARC,
-        REGION_S2NU,
-        MeasureProblem,
-        comparability_constants,
-        fit_slope,
-        require_slope_window,
-        solve_measure,
-        write_summary_json,
-    )
 
-    problem = MeasureProblem(
+    problem = measure.MeasureProblem(
         nu=args.nu, p=args.p, R=args.R, n_r=cfg.n_r, n_phi=cfg.n_phi,
         eps_reg=cfg.eps_reg, tol=cfg.tol, max_iter=cfg.max_iter,
-        arc_target=INNER_ARC if args.inner_arc else "full_arc",
+        arc_target=measure.INNER_ARC if args.inner_arc else measure.FULL_ARC,
     )
-    require_slope_window(problem)
+    measure.require_slope_window(problem)
     if args.mc_check:
         require_mc_applicable(problem)
     out_dir = _resolve_outdir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
     stem = f"measure_{args.nu:g}_{args.p:g}" + ("_inner" if args.inner_arc else "")
-    sol = solve_measure(problem)
+    sol = measure.solve_measure(problem)
     k = radial_exponent(args.nu, args.p)
-    fit = fit_slope(sol)
-    lo, hi = comparability_constants(sol, k, REGION_S2NU)
+    fit = measure.fit_slope(sol)
+    lo, hi = measure.comparability_constants(sol, k, measure.REGION_S2NU)
     extra = {
         "k": k,
         "slope": fit.exponent,
@@ -204,7 +195,7 @@ def cmd_measure(args) -> int:
         extra.update(mc_agreement=rows, mc_within_3_sigma=ok, mc_seed=cfg.seed,
                      mc_walks=MC_WALKS)
     sol.to_csv(os.path.join(out_dir, stem + ".csv"))
-    write_summary_json(sol, os.path.join(out_dir, stem + ".json"), extra)
+    measure.write_summary_json(sol, os.path.join(out_dir, stem + ".json"), extra)
     print(f"k = {_fmt(k)}")
     print(f"slope = {_fmt(fit.exponent)}")
     print(f"ratio_min = {_fmt(lo)}")

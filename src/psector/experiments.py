@@ -25,6 +25,7 @@ from .measure import (
     INNER_ARC,
     REGION_S2NU,
     REGION_SNU,
+    SLOPE_WINDOW,
     MeasureProblem,
     MeasureSolution,
     comparability_constants,
@@ -37,6 +38,9 @@ from .profile import StreamEvaluator, build_profile
 
 # walks per probe of the walk-on-spheres cross-check
 MC_WALKS = 100000
+# the radii and the samples per arc of the Phragmen-Lindelof check
+PHRAGMEN_RADII = (1.0, 10.0, 100.0, 1000.0)
+PHRAGMEN_ARC = 501
 
 
 @dataclass
@@ -198,27 +202,28 @@ def mc_agreement(sol: MeasureSolution, n_walks: int = MC_WALKS, seed: int = 0):
     return rows, all(row["deviation_sigma"] <= 3.0 for row in rows)
 
 
-def run_measure_experiment(nu: float, p: float, n_r: int = 256, n_phi: int = 256,
-                           slope_tol: float = 0.10, r_window=(0.05, 0.4),
-                           eps_reg: float = 1e-6, mc_check: bool = False,
-                           seed: int = 0, n_walks: int = MC_WALKS) -> ExperimentReport:
-    """Solve the measure, fit the radial decay, extract the comparability
-    certificate; optionally cross-check against walk-on-spheres at p = 2."""
+def run_measure_experiment(nu: float, p: float, n_r: int = MeasureProblem.n_r,
+                           n_phi: int = MeasureProblem.n_phi, slope_tol: float = 0.10,
+                           mc_check: bool = False, seed: int = 0,
+                           n_walks: int = MC_WALKS) -> ExperimentReport:
+    """Solve the measure, fit the radial decay on SLOPE_WINDOW, extract the
+    comparability certificate; optionally cross-check against walk-on-spheres
+    at p = 2."""
+    problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
     rep = ExperimentReport(
         "measure",
-        {"nu": nu, "p": p, "n_r": n_r, "n_phi": n_phi, "eps_reg": eps_reg,
-         "slope_tol": slope_tol, "r_window": list(r_window)},
-        provenance={"seed": seed, "tolerance": 1e-8},
+        {"nu": nu, "p": p, "n_r": n_r, "n_phi": n_phi, "eps_reg": problem.eps_reg,
+         "slope_tol": slope_tol, "r_window": list(SLOPE_WINDOW)},
+        provenance={"seed": seed, "tolerance": problem.tol},
     )
-    problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi, eps_reg=eps_reg)
-    require_slope_window(problem, r_window)
+    require_slope_window(problem)
     if mc_check:
         require_mc_applicable(problem)
     sol = solve_measure(problem)
     rep.check("solver converged", sol.converged,
               f"iterations {sol.iterations}, final update {sol.final_update:.2e}")
     k = radial_exponent(nu, p)
-    fit = fit_slope(sol, 0.0, r_window)
+    fit = fit_slope(sol)
     rel = abs(fit.exponent - k) / k
     rep.rows.append({"nu": nu, "p": p, "k": k, "fitted": fit.exponent,
                      "rel_err": rel, "fit_rms": fit.rms,
@@ -238,29 +243,31 @@ def run_measure_experiment(nu: float, p: float, n_r: int = 256, n_phi: int = 256
     return rep
 
 
-def run_growth_bounds(nu: float, p: float, n_r: int = 256, n_phi: int = 256,
-                      slope_tol: float = 0.15, r_window=(0.05, 0.4)) -> ExperimentReport:
+def run_growth_bounds(nu: float, p: float, n_r: int = MeasureProblem.n_r,
+                      n_phi: int = MeasureProblem.n_phi) -> ExperimentReport:
     """Certificates for the sub/superharmonic growth bounds near the apex.
 
     The full-arc measure is the extremal comparison for the upper bound
     (valid on the whole sector); the inner-arc variant bounds superharmonic
-    decay from below on the half-radius double-aperture region.  The fitted
-    decay exponent doubles as the cusp-rate observation.
+    decay from below on the half-radius double-aperture region.  The decay
+    exponent fitted on SLOPE_WINDOW doubles as the cusp-rate observation and
+    must match k within 15%.
     """
+    slope_tol = 0.15
     rep = ExperimentReport(
         "growth_bounds",
         {"nu": nu, "p": p, "n_r": n_r, "n_phi": n_phi,
-         "slope_tol": slope_tol, "r_window": list(r_window)},
+         "slope_tol": slope_tol, "r_window": list(SLOPE_WINDOW)},
     )
     problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
-    require_slope_window(problem, r_window)
+    require_slope_window(problem)
     k = radial_exponent(nu, p)
     sol = solve_measure(problem)
     rep.check("full-arc solve converged", sol.converged, f"iterations {sol.iterations}")
     lo_u, hi_u = comparability_constants(sol, k, REGION_SNU)
     rep.check("upper growth certificate finite on S_nu",
               math.isfinite(hi_u) and hi_u > 0, f"sup ratio {hi_u:.4f}")
-    fit = fit_slope(sol, 0.0, r_window)
+    fit = fit_slope(sol)
     rel = abs(fit.exponent - k) / k
     rep.check("decay rate matches k", rel <= slope_tol,
               f"fitted {fit.exponent:.4f} vs k {k:.4f} ({100 * rel:.2f}%)")
@@ -278,26 +285,26 @@ def run_growth_bounds(nu: float, p: float, n_r: int = 256, n_phi: int = 256,
     return rep
 
 
-def run_phragmen_check(nu: float, p: float, R_list=(1.0, 10.0, 100.0, 1000.0),
-                       n_arc: int = 501) -> ExperimentReport:
+def run_phragmen_check(nu: float, p: float) -> ExperimentReport:
     """Sharpness of the minimal-growth rate: for the explicit solution,
     M(R) = sup over the arc of r**k f(phi) scales exactly like R**k.
 
     M(R) is the maximum of the field sampled at the Cartesian points
-    R (cos phi, sin phi) of each arc, and is divided by R**k with the
-    closed-form k(nu, p)."""
+    R (cos phi, sin phi) of PHRAGMEN_ARC samples on each arc of PHRAGMEN_RADII,
+    and is divided by R**k with the closed-form k(nu, p)."""
     rep = ExperimentReport(
-        "phragmen", {"nu": nu, "p": _p_label(p), "R_list": list(R_list), "n_arc": n_arc}
+        "phragmen",
+        {"nu": nu, "p": _p_label(p), "R_list": list(PHRAGMEN_RADII), "n_arc": PHRAGMEN_ARC},
     )
     prof = build_profile(nu, p, 257)
     alpha = prof.half_aperture
-    phis = np.linspace(-alpha, alpha, n_arc)
-    radii = np.asarray(R_list, dtype=float)
+    phis = np.linspace(-alpha, alpha, PHRAGMEN_ARC)
+    radii = np.asarray(PHRAGMEN_RADII)
     x, y = np.outer(radii, np.cos(phis)), np.outer(radii, np.sin(phis))
     # one evaluator call on all arcs stacked
     m_of_r = np.max(np.hypot(x, y) ** prof.k * prof.f_exact(np.arctan2(y, x)), axis=1)
     ratios = (m_of_r / radii ** radial_exponent(nu, p)).tolist()
-    for R, m, ratio in zip(R_list, m_of_r.tolist(), ratios):
+    for R, m, ratio in zip(PHRAGMEN_RADII, m_of_r.tolist(), ratios):
         rep.rows.append({"R": R, "M": m, "M_over_Rk": ratio})
     spread = max(ratios) - min(ratios)
     rep.check("M(R)/R^k constant across decades", spread <= 1e-9,

@@ -53,6 +53,13 @@ ANDERSON_DEPTH = 3
 # a solve stops after this many consecutive capped CG solves (stop_reason
 # "cg_capped"); the converging cases have none
 CAPPED_STOP = 5
+# the radial window of the slope fit, in fractions of R: away from the apex
+# truncation ring and from the arc's boundary layer
+SLOPE_WINDOW = (0.05, 0.4)
+# the walk-on-spheres oracle absorbs a walker within MC_SHELL * R of the
+# boundary and stops every walk after MC_MAX_STEPS steps
+MC_SHELL = 1e-5
+MC_MAX_STEPS = 100000
 
 
 @dataclass(frozen=True)
@@ -103,9 +110,7 @@ class MeasureSolution:
     r: np.ndarray
     phi: np.ndarray
     omega: np.ndarray  # shape (n_r, n_phi), values in [0, 1]
-    iterations: int
     final_update: float
-    converged: bool
     # "converged", "max_iter" or "cg_capped"; None on a hand-built solution
     stop_reason: str | None = None
     energy_history: list = field(default_factory=list)
@@ -120,6 +125,15 @@ class MeasureSolution:
     # ||A(u) u - b||_2 / ||b||_2 at the returned field, the coefficients
     # frozen at it with the problem's p; None on a hand-built solution
     final_residual: float | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Picard cycles run, over all continuation stages."""
+        return len(self.cg_history)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def cg_capped(self) -> int:
@@ -187,16 +201,8 @@ class MeasureSolution:
 @dataclass(frozen=True)
 class SlopeFit:
     exponent: float
-    intercept: float
     rms: float
     r_window: tuple
-    ray_angle: float
-
-    def __post_init__(self):
-        if not self.r_window[0] < self.r_window[1]:
-            raise DomainError("slope window must satisfy r_min < r_max")
-        if self.rms < 0:
-            raise ValueError("rms must be >= 0")
 
 
 def _grids(problem: MeasureProblem):
@@ -309,7 +315,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
 
     def picard(p_stage: float, tol: float, budget: int):
         """Lagged-diffusivity cycles at one exponent; updates u.  Returns the
-        cycles run, the last plain update and the stop reason."""
+        last plain update and the stop reason."""
         nonlocal u
         tau = 1.0
         delta = math.inf
@@ -386,10 +392,10 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             capped = cg_history[-1] >= _multigrid.MAX_CG
             capped_run = capped_run + 1 if capped else 0
             if delta < tol and not capped:
-                return it, delta, "converged"
+                return delta, "converged"
             if capped_run == CAPPED_STOP:
-                return it, delta, "cg_capped"
-        return budget, delta, "max_iter"
+                return delta, "cg_capped"
+        return delta, "max_iter"
 
     # continuation in p from the linear case, stepping by at most 1, so the
     # strongly nonlinear stages start from a nearby solution and the
@@ -403,17 +409,15 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         stages.append(pr.p)
     elif pr.p < 2.0:
         stages.append(pr.p)
-    total = 0
     delta = math.inf
     for stage in stages:
         final = stage == stages[-1]
         tol = pr.tol if final else max(100.0 * pr.tol, 1e-7)
-        left = pr.max_iter - total
+        left = pr.max_iter - len(cg_history)
         if left <= 0:
             stop = "max_iter"
             break
-        it, delta, stop = picard(stage, tol, left)
-        total += it
+        delta, stop = picard(stage, tol, left)
         if stop != "converged":
             break
     _, cE, cN = _cell_energy(u, r, dphi, pr.p, eps2)
@@ -422,9 +426,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         r=r,
         phi=phi,
         omega=u,
-        iterations=total,
         final_update=delta,
-        converged=stop == "converged",
         stop_reason=stop,
         energy_history=history,
         p_history=p_history,
@@ -441,16 +443,16 @@ def _window(r, R, r_window):
     return (r >= r_window[0] * R) & (r <= r_window[1] * R)
 
 
-def require_slope_window(problem: MeasureProblem, r_window: tuple = (0.05, 0.4)) -> None:
-    """Raise DomainError unless r_window, as for fit_slope, holds at least 8
-    of the problem's grid radii: a fit that must fail is refused unsolved."""
-    n = int(_window(_grids(problem)[0], problem.R, r_window).sum())
+def require_slope_window(problem: MeasureProblem) -> None:
+    """Raise DomainError unless SLOPE_WINDOW holds at least 8 of the
+    problem's grid radii: a fit that must fail is refused unsolved."""
+    n = int(_window(_grids(problem)[0], problem.R, SLOPE_WINDOW).sum())
     if n < 8:
-        raise DomainError(f"slope window {r_window} of R holds {n} grid radii, fewer than 8")
+        raise DomainError(f"slope window {SLOPE_WINDOW} of R holds {n} grid radii, fewer than 8")
 
 
 def fit_slope(solution: MeasureSolution, ray_angle: float = 0.0,
-              r_window: tuple = (0.05, 0.4)) -> SlopeFit:
+              r_window: tuple = SLOPE_WINDOW) -> SlopeFit:
     """Least-squares slope of log omega against log r along a ray.
 
     The window is in fractions of R, strictly inside (0, 1), and must contain
@@ -468,10 +470,8 @@ def fit_slope(solution: MeasureSolution, ray_angle: float = 0.0,
     resid = y - A @ coef
     return SlopeFit(
         exponent=float(coef[0]),
-        intercept=float(coef[1]),
         rms=float(np.sqrt(np.mean(resid**2))),
         r_window=(r_window[0] * R, r_window[1] * R),
-        ray_angle=ray_angle,
     )
 
 
@@ -516,14 +516,13 @@ def _side_distance(x, y, r, c, s):
     return np.where(x * c + y * s >= 0.0, x * s - y * c, r)
 
 
-def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
-                        shell: float = 1e-5, max_steps: int = 100000):
+def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int):
     """Walk-on-spheres estimate of harmonic (p = 2) measure of the arc.
 
     For each interior start point (r, phi), n_walks Brownian paths are
     simulated by jumping to a uniform point on the largest centered disk
-    inside the domain, absorbing within a shell*R boundary layer,
-    0 < shell < 1.
+    inside the domain, absorbing within a MC_SHELL * R boundary layer; a
+    walk still live after MC_MAX_STEPS steps counts as no hit.
     Returns a list of (estimate, stderr); stderr is the binomial standard
     error.  Deterministic for a fixed seed >= 0.
 
@@ -543,8 +542,6 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
         raise DomainError(f"n_walks must be >= 1, got {n_walks}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    if not 0.0 < shell < 1.0:
-        raise DomainError(f"shell must lie in (0, 1), got {shell}")
     alpha = math.pi / (2.0 * nu)
     c, s = math.cos(alpha), math.sin(alpha)
     two_pi = np.float32(2.0 * math.pi)
@@ -557,12 +554,12 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int,
         x = np.full(n_walks, r0 * math.cos(phi0))
         y = np.full(n_walks, r0 * math.sin(phi0))
         hits = 0
-        for _ in range(max_steps):
+        for _ in range(MC_MAX_STEPS):
             r = np.sqrt(x * x + y * y)
             d_arc = R - r
             d_side = _side_distance(x, y, r, c, s)
             d = np.minimum(d_arc, d_side)
-            done = d < shell * R
+            done = d < MC_SHELL * R
             if done.any():
                 hits += int(np.count_nonzero(d_arc[done] <= d_side[done]))
                 live = ~done

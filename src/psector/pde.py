@@ -18,7 +18,7 @@ means small against the balance actually achieved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class ResidualReport:
 
     max_abs_residual: float
     sample_count: int
-    excluded_bands: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -118,26 +117,23 @@ def _polar_terms(fld, r, phi, p: float, step: float):
 
 
 def polar_plap_residual(fld, point, p: float, step: float, relative: bool = False):
-    """Finite-difference residual of the polar p-Laplace equation at a point.
+    """Finite-difference residual of the polar p-Laplace equation at a point,
+    for finite p > 1.
 
     fld(r, phi) is sampled on the centered stencil of `_differences` with the
     given step.  The multiplied-out form is evaluated:
 
     (b+1) ur^2 urr + (b/r^2)(urr up^2 + ur^2 upp) + ((b+1)/r^4) up^2 upp
-      + (b/r) ur^3 + ((b-1)/r^3) ur up^2 + (2/r^2) ur up urp,  b = 1/(p-2).
+      + (b/r) ur^3 + ((b-1)/r^3) ur up^2 + (2/r^2) ur up urp,  b = 1/(p-2);
 
-    `relative` divides by the max term.
+    at p = 2 the balance u_rr + u_r/r + u_pp/r^2.  `relative` divides by the
+    max term.
     """
-    if p == math.inf or p == 2.0:
-        raise DomainError("polar_plap_residual needs finite p != 2")
+    if p == math.inf:
+        raise DomainError("polar_plap_residual needs finite p")
     if not point.r > 2.0 * step:
         raise DomainError("stencil requires r > 2*step")
     return _combine(_polar_terms(fld, point.r, point.phi, p, step), relative)
-
-
-def laplace_polar_residual(fld, point, step: float, relative: bool = False):
-    """Residual of the p = 2 balance u_rr + u_r/r + u_pp/r^2 at a point."""
-    return _combine(_polar_terms(fld, point.r, point.phi, 2.0, step), relative)
 
 
 def inf_lap_residual(fld, point, step: float, relative: bool = False):
@@ -215,8 +211,7 @@ def separation_report(prof: AngularProfile, n_samples: int | None = None) -> Res
         f_right, f_left = prof.f_exact(np.stack([x + ha, x - ha]))
         fpp = (f_right - 2.0 * fi + f_left) / (ha * ha)
     res = separation_residual(fi, prof.fprime[idx], fpp, prof.k, prof.p, relative=True)
-    return ResidualReport(max_abs_residual=_worst(res), sample_count=len(idx),
-                          excluded_bands=bands)
+    return ResidualReport(max_abs_residual=_worst(res), sample_count=len(idx))
 
 
 def polar_residual_report(prof: AngularProfile, n_samples: int = 100,
@@ -246,5 +241,4 @@ def polar_residual_report(prof: AngularProfile, n_samples: int = 100,
             return np.power(r, k) * prof.f_exact(phi)
 
         res = _rel(_polar_terms(fld_polar, 1.0, phis, prof.p, step))
-    return ResidualReport(max_abs_residual=_worst(res), sample_count=len(phis),
-                          excluded_bands=bands)
+    return ResidualReport(max_abs_residual=_worst(res), sample_count=len(phis))

@@ -209,7 +209,8 @@ def test_criterion_8_walk_on_spheres_oracle():
 
 def test_criterion_9_phragmen_sharpness():
     for nu, p in [(1.0, 2.0), (2.0, 3.0), (1.0, math.inf), (2.0, math.inf)]:
-        rep = run_phragmen_check(nu, p, R_list=(1.0, 10.0, 100.0, 1000.0))
+        rep = run_phragmen_check(nu, p)
+        assert [row["R"] for row in rep.rows] == [1.0, 10.0, 100.0, 1000.0]
         assert rep.passed, (nu, p, rep.first_failure())
         vals = [row["M_over_Rk"] for row in rep.rows]
         assert max(vals) - min(vals) <= 1e-9

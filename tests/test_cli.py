@@ -304,6 +304,11 @@ class TestConfig:
         with pytest.raises(DomainError, match=r"all\.cfg:1: tol must be float, got 'abc'$"):
             CliConfig.from_file(cfg)
 
+    def test_solver_defaults_are_the_problem_defaults(self):
+        cfg, problem = CliConfig(), measure.MeasureProblem(nu=1.0, p=2.0)
+        for name in ("n_r", "n_phi", "tol", "eps_reg", "max_iter"):
+            assert getattr(cfg, name) == getattr(problem, name), name
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "absent.cfg"
         code, _, err = run_cli(capsys, "measure", "--nu", "1", "--p", "2",

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from psector import experiments, verify
+from psector import experiments, measure, verify
 from psector.exponent import DomainError
 from psector.experiments import (
     mc_agreement,
@@ -69,7 +69,16 @@ class TestMeasureExperiment:
 
         monkeypatch.setattr(experiments, "solve_measure", no_solve)
         with pytest.raises(DomainError, match="fewer than 8"):
-            run(1.0, 2.0, n_r=96, n_phi=97, r_window=(0.3, 0.4))
+            # 16 radii from 1e-3 R to R put 5 inside the slope window
+            run(1.0, 2.0, n_r=16, n_phi=97)
+
+    def test_settings_come_from_measure(self):
+        # the report states the window and solver settings actually used
+        rep = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49)
+        defaults = MeasureProblem(nu=1.0, p=2.0)
+        assert rep.parameters["r_window"] == list(measure.SLOPE_WINDOW)
+        assert rep.parameters["eps_reg"] == defaults.eps_reg
+        assert rep.provenance["tolerance"] == defaults.tol
 
     def test_nonlinear_case(self):
         rep = run_measure_experiment(2.0, 3.0, n_r=96, n_phi=97, slope_tol=0.10)
@@ -101,7 +110,8 @@ class TestPhragmen:
             assert crit["M(R)/R^k constant across decades"] is False, (nu, p)
 
     def test_growth_across_decades(self):
-        rep = run_phragmen_check(2.0, 3.0, R_list=(1.0, 10.0, 100.0, 1000.0))
+        rep = run_phragmen_check(2.0, 3.0)
+        assert [row["R"] for row in rep.rows] == [1.0, 10.0, 100.0, 1000.0]
         ms = [row["M"] for row in rep.rows]
         assert ms[1] / ms[0] == pytest.approx(10.0**1.7287135538781686, rel=1e-9)
 

@@ -398,7 +398,7 @@ class TestFitSlope:
             phi=harmonic_sol.phi,
             omega=(harmonic_sol.r[:, None] / 1.0) ** 1.75
             * np.ones_like(harmonic_sol.phi)[None, :],
-            iterations=1, final_update=0.0, converged=True,
+            final_update=0.0,
         )
         fit = fit_slope(sol, 0.0, (0.05, 0.4))
         assert fit.exponent == pytest.approx(1.75, abs=1e-10)
@@ -424,7 +424,7 @@ class TestComparability:
             phi=harmonic_sol.phi,
             omega=(harmonic_sol.r[:, None]) ** 2.0
             * np.ones_like(harmonic_sol.phi)[None, :],
-            iterations=1, final_update=0.0, converged=True,
+            final_update=0.0,
         )
         lo, hi = comparability_constants(sol, 2.0, REGION_S2NU)
         assert lo == pytest.approx(1.0, rel=1e-12)
@@ -523,11 +523,7 @@ class TestWalkOnSpheres:
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_walks": 0}, "n_walks must be >= 1, got 0"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
-        ({"shell": 0.0}, "shell must lie in"),
-        ({"shell": -1e-5}, "shell must lie in"),
-        ({"shell": 1.0}, "shell must lie in"),
-        ({"shell": math.nan}, "shell must lie in"),
-    ], ids=["n_walks_0", "seed_negative", "shell_0", "shell_negative", "shell_1", "shell_nan"])
+    ], ids=["n_walks_0", "seed_negative"])
     def test_rejects_bad_walk_parameters(self, kwargs, match):
         args = {"n_walks": 10, "seed": 0} | kwargs
         with pytest.raises(DomainError, match=match):

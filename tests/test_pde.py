@@ -9,7 +9,6 @@ from psector.pde import (
     RIDGE_BAND_EPS,
     ResidualReport,
     inf_lap_residual,
-    laplace_polar_residual,
     polar_plap_residual,
     polar_residual_report,
     profile_corner_bands,
@@ -80,7 +79,7 @@ class TestPolarResidual:
     def test_harmonic_field_laplace_form(self):
         nu = 2.0
         fld = lambda r, f: r**nu * np.cos(nu * f)  # noqa: E731
-        res = laplace_polar_residual(fld, PolarPoint(1.0, 0.2), 1e-4, relative=True)
+        res = polar_plap_residual(fld, PolarPoint(1.0, 0.2), 2.0, 1e-4, relative=True)
         assert abs(res) <= 1e-6
 
     def test_constructed_solution(self):
@@ -99,9 +98,13 @@ class TestPolarResidual:
 
         polar_plap_residual(fld, PolarPoint(1.0, 0.1), 3.0, 1e-3)
         inf_lap_residual(fld, (0.5, 0.1), 1e-3)
-        laplace_polar_residual(fld, PolarPoint(1.0, 0.1), 1e-3)
+        polar_plap_residual(fld, PolarPoint(1.0, 0.1), 2.0, 1e-3)
         assert len(calls) == 27
         assert len(set(calls[:9])) == len(set(calls[9:18])) == len(set(calls[18:])) == 9
+
+    def test_rejects_infinite_p(self):
+        with pytest.raises(DomainError, match="needs finite p"):
+            polar_plap_residual(lambda r, f: r, PolarPoint(1.0, 0.0), math.inf, 1e-3)
 
     def test_stencil_bounds(self):
         with pytest.raises(DomainError):
