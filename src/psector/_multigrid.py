@@ -8,9 +8,10 @@ of the grid, with Dirichlet data on rows and columns 0 and -1:
 
 cE[i, j] couples nodes (i, j) and (i + 1, j), cN[i, j] nodes (i, j) and
 (i, j + 1).  hierarchy(cE, cN) builds the levels once per cycle and pcg(u,
-levels, rtol) solves in place, warm-started from u.  Every level, its
-operator (apply) and its smoother (_kernels.sor_system) use this one edge
-layout; the finest level holds the caller's cE and cN, not copies.
+levels, rtol, r) solves in place, warm-started from u and its residual
+r = residual(cE, cN, u)[0].  Every level, its operator (apply) and its
+smoother (_kernels.sor_system) use this one edge layout; the finest level
+holds the caller's cE and cN, not copies.
 
 Each coarser level halves an axis, keeping the even-index nodes and the last
 one, and stays a 5-point operator: along a coarsened axis two fine edges
@@ -174,15 +175,18 @@ def apply(level, x, out=None):
     return out
 
 
-def relative_residual(cE, cN, u) -> float:
-    """||A u - b||_2 / ||b||_2 on the interior nodes for the frozen system of
-    cE and cN (shaped as for hierarchy, which it does not call), where b is
-    what u's Dirichlet rows and columns contribute."""
-    level = Level(cE, cN, None, None)
-    data = u.copy()
-    data[1:-1, 1:-1] = 0.0
-    r, b = apply(level, u), apply(level, data)
-    return math.sqrt(dot(r, r) / dot(b, b))
+def residual(cE, cN, u):
+    """(b - A u, ||b - A u||_2 / ||b||_2) for the frozen system of cE and cN,
+    b what the boundary values of u contribute; ||b|| is formed on the four
+    lines next to the boundary, where b lives.  Needs 4 nodes per side."""
+    r = apply(Level(cE, cN, None, None), u)
+    np.negative(r, out=r)
+    # b on rows 1 and -2, then on columns 1 and -2; a corner node takes both
+    rows = cE[[0, -1], 1:-1] * u[[0, -1], 1:-1]
+    cols = cN[1:-1, [0, -1]] * u[1:-1, [0, -1]]
+    rows[:, [0, -1]] += cols[[0, -1]]
+    cols = cols[1:-1]
+    return r, math.sqrt(dot(r, r) / (dot(rows, rows) + dot(cols, cols)))
 
 
 def vcycle(levels, f, depth=0):
@@ -210,17 +214,16 @@ def vcycle(levels, f, depth=0):
     return x
 
 
-def pcg(u, levels, rtol) -> int:
-    """Solve the finest level's system in place, warm-started from u.
+def pcg(u, levels, rtol, r) -> int:
+    """Solve the finest level's system in place, warm-started from u, whose
+    residual b - A u is r (as residual returns it; pcg overwrites it).
 
     Rows and columns 0 and -1 of u are Dirichlet data and stay unchanged.
     Stops when the residual's 2-norm falls to rtol times its value at u;
     returns the number of CG iterations, or MAX_CG if it misses the target or
-    breaks down (r . z or p . A p not positive, as at p = 20).
+    breaks down (r . z or p . A p not positive, as at large p).
     """
     level = levels[0]
-    r = apply(level, u)
-    np.negative(r, out=r)
     rr = dot(r, r)
     if rr == 0.0:
         return 0

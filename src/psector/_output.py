@@ -4,13 +4,15 @@ A table is utf-8 text with LF line ends: a '# key = value' line per meta
 pair, the column row, then the data rows.  Callers hand the rows over as
 formatted text chunks, each a run of whole LF-terminated rows, so a large
 field streams a block at a time with no whole-file string and no join per
-cell.  JSON is indented, key-sorted and newline-terminated, with numpy
-scalars written as the Python numbers they hold.
+cell.  JSON is strict, indented, key-sorted and newline-terminated, with
+numpy scalars written as the Python numbers they hold and a non-finite float
+(a failed solve's residual) as null, so every file parses as standard JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -42,13 +44,17 @@ def read_table(path):
     return meta, columns or [], rows
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _plain(obj):
+    """obj with numpy scalars as Python numbers and non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    obj = obj.item() if isinstance(obj, (np.floating, np.integer)) else obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def write_json(path, data) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_plain(data), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

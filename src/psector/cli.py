@@ -204,8 +204,8 @@ def cmd_measure(args) -> int:
     print(f"wrote {os.path.join(out_dir, stem + '.csv')}")
     if not sol.converged:
         print(
-            f"solver did not reach tol {problem.tol:g}: stopped on {sol.stop_reason}"
-            f" after {sol.iterations} of {problem.max_iter} cycles",
+            f"solver did not reach tol {problem.tol:g}: final residual {sol.final_residual:.2e},"
+            f" stopped on {sol.stop_reason} after {sol.iterations} of {problem.max_iter} cycles",
             file=sys.stderr,
         )
         return EXIT_NO_CONVERGENCE

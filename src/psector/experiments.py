@@ -221,7 +221,7 @@ def run_measure_experiment(nu: float, p: float, n_r: int = MeasureProblem.n_r,
         require_mc_applicable(problem)
     sol = solve_measure(problem)
     rep.check("solver converged", sol.converged,
-              f"iterations {sol.iterations}, final update {sol.final_update:.2e}")
+              f"iterations {sol.iterations}, final residual {sol.final_residual:.2e}")
     k = radial_exponent(nu, p)
     fit = fit_slope(sol)
     rel = abs(fit.exponent - k) / k

@@ -17,10 +17,11 @@ Picard step triggered by the one observed instability signature, period-2
 update flips at data-jump nodes; in p < 2 stages, where plain Picard
 converges only linearly, Anderson mixing of the last ANDERSON_DEPTH steps,
 each mixed iterate taken only if its energy is at most that of the plain
-Picard result, so the energy still never rises.  A solve gives up after
-CAPPED_STOP consecutive capped CG solves.  Each cycle records the discrete
-energy of the stage being solved (its own p), the stage p, the number of CG
-iterations and whether a mixed iterate was taken, as convergence diagnostics.
+Picard result, so the energy still never rises.  A stage stops on the
+relative residual its cycle's CG solve starts from, or after CAPPED_STOP
+consecutive capped CG solves.  Each cycle records the discrete energy of the
+stage being solved (its own p), the stage p, the number of CG iterations and
+whether a mixed iterate was taken, as convergence diagnostics.
 
 mc_harmonic_measure is an independent walk-on-spheres Monte Carlo oracle for
 the p = 2 case.  fit_slope extracts the radial decay exponent from a solved
@@ -29,6 +30,7 @@ field; comparability_constants bounds the ratio omega / (r/R)**k.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -43,12 +45,12 @@ REGION_S2NU = "S_2nu"
 REGION_SNU = "S_nu"
 
 # relative residual at which a Picard cycle's CG solve stops; on the six 256^2
-# acceptance cases 1e-3 took 93 Picard cycles instead of 96, with 27% more CG
-# iterations (334 against 263) and 12% more time
+# acceptance cases 1e-3 took 84 Picard cycles instead of 87, with 36% more CG
+# iterations (271 against 199) and 3.3 s against 2.8 s
 CG_RTOL = 1e-2
 # Anderson mixing depth of the p < 2 Picard stages, two fields per unit:
-# depths 1 to 5 took 15, 12, 11, 10 and 10 final-stage cycles on (1, 1.5) at
-# 256^2 (22 unmixed), and 40, 40, 38, 39 and 38 on (1, 1.1) at 128^2 (126)
+# depths 1 to 5 took 14, 11, 10, 10 and 10 final-stage cycles on (1, 1.5) at
+# 256^2 (21 unmixed), and 39, 37, 38, 36 and 35 on (1, 1.1) at 128^2 (105)
 ANDERSON_DEPTH = 3
 # a solve stops after this many consecutive capped CG solves (stop_reason
 # "cg_capped"); the converging cases have none
@@ -69,6 +71,7 @@ class MeasureProblem:
 
     arc_target selects the Dirichlet data: FULL_ARC puts 1 on the whole arc,
     INNER_ARC on the sub-arc |phi| <= pi/(4 nu) only (data jumps get 1/2).
+    tol is the relative residual at which the solve stops (solve_measure).
     """
 
     nu: float
@@ -77,7 +80,7 @@ class MeasureProblem:
     n_r: int = 256
     n_phi: int = 256
     eps_reg: float = 1e-6
-    tol: float = 1e-8
+    tol: float = 1e-9
     max_iter: int = 4000
     arc_target: str = FULL_ARC
     rmin_frac: float = 1e-3
@@ -110,7 +113,6 @@ class MeasureSolution:
     r: np.ndarray
     phi: np.ndarray
     omega: np.ndarray  # shape (n_r, n_phi), values in [0, 1]
-    final_update: float
     # "converged", "max_iter" or "cg_capped"; None on a hand-built solution
     stop_reason: str | None = None
     energy_history: list = field(default_factory=list)
@@ -187,7 +189,6 @@ class MeasureSolution:
             "arc_target": pr.arc_target,
             "rmin_frac": pr.rmin_frac,
             "iterations": self.iterations,
-            "final_update": self.final_update,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "cg_iterations_max": max(self.cg_history, default=0),
@@ -278,11 +279,13 @@ def _anderson_mix(g, f, dF, dG):
 def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     """Lagged-diffusivity solve of the regularized p-Dirichlet minimizer.
 
-    Stops when the max plain Picard update of a cycle, max|g - u| before any
-    mixing, drops below problem.tol and that cycle's CG solve was not capped
-    (stop_reason "converged"), after CAPPED_STOP consecutive capped CG solves
-    ("cg_capped"), or after max_iter cycles ("max_iter").  Non-convergence is
-    reported on the returned solution rather than raised.
+    At the top of each Picard cycle a stage checks ||A(u) u - b||_2 / ||b||_2,
+    A(u) frozen at the iterate with the stage's p and b from the Dirichlet
+    data: the residual the cycle's CG solve starts from (_multigrid.residual).
+    It stops when that falls to problem.tol (final stage) or max(100 tol,
+    1e-7) (earlier stages), stop_reason "converged", after CAPPED_STOP
+    consecutive capped CG solves ("cg_capped"), or after max_iter cycles in
+    all ("max_iter").  Non-convergence is reported, not raised.
 
     A p < 2 stage mixes each cycle's clipped Picard result g with the last
     ANDERSON_DEPTH differences (_anderson_mix) and takes the mixed iterate
@@ -295,10 +298,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     once and reuses it on every cycle.  Every other stage builds one per
     cycle, dropping the last before the next build.
 
-    final_residual is ||A(u) u - b||_2 / ||b||_2 at the returned field, with
-    A(u) the operator frozen at u with the problem's p and b from the
-    Dirichlet data.  It is recorded, not a stop test: one _cell_energy and
-    two operator applications, no hierarchy.
+    final_residual is that residual at the returned field with the problem's
+    p: the last check's, evaluated once more if the solve stops in an earlier
+    stage.  converged holds exactly when it is at most tol.
     """
     pr = problem
     r, phi = _grids(pr)
@@ -313,12 +315,11 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     eps2 = pr.eps_reg**2
     history, p_history, cg_history, anderson_history = [], [], [], []
 
-    def picard(p_stage: float, tol: float, budget: int):
+    def picard(p_stage: float, tol: float):
         """Lagged-diffusivity cycles at one exponent; updates u.  Returns the
-        last plain update and the stop reason."""
+        last residual check's value and the stop reason."""
         nonlocal u
         tau = 1.0
-        delta = math.inf
         du_prev = None
         capped_run = 0
         mixing = p_stage < 2.0 and ANDERSON_DEPTH > 0
@@ -331,15 +332,22 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             dG = np.empty_like(dF)
             cols = head = 0
         carried = levels = None
-        for it in range(1, budget + 1):
+        for it in itertools.count():
             if carried is None:
                 carried = _cell_energy(u, r, dphi, p_stage, eps2)
+            res, resid = _multigrid.residual(*carried[1:], u)
+            if resid <= tol:
+                return resid, "converged"
+            if capped_run == CAPPED_STOP:
+                return resid, "cg_capped"
+            if len(cg_history) == pr.max_iter:
+                return resid, "max_iter"
             history.append(carried[0])
             if levels is None:
                 levels = _multigrid.hierarchy(*carried[1:])
             carried = None
             uold = u.copy()
-            cg_history.append(_multigrid.pcg(u, levels, CG_RTOL))
+            cg_history.append(_multigrid.pcg(u, levels, CG_RTOL, res))
             p_history.append(p_stage)
             if p_stage != 2.0:
                 # the next cycle builds its own levels; holding these while
@@ -347,10 +355,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 levels = None
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
-            step = float(np.max(np.abs(du)))
             taken = None
             if mixing:
-                if it > 1:
+                if it > 0:
                     dF[head] += du
                     dG[head] += u
                     head = (head + 1) % ANDERSON_DEPTH
@@ -386,53 +393,33 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                     u = uold + tau * du
                 du_prev = du
             anderson_history.append(taken)
-            delta = tau * step
-            # a capped or broken-down CG solve can leave u unmoved, so a small
-            # update after one says nothing about convergence
-            capped = cg_history[-1] >= _multigrid.MAX_CG
-            capped_run = capped_run + 1 if capped else 0
-            if delta < tol and not capped:
-                return delta, "converged"
-            if capped_run == CAPPED_STOP:
-                return delta, "cg_capped"
-        return delta, "max_iter"
+            capped_run = capped_run + 1 if cg_history[-1] >= _multigrid.MAX_CG else 0
 
     # continuation in p from the linear case, stepping by at most 1, so the
     # strongly nonlinear stages start from a nearby solution and the
     # coefficient spikes of a cold p > 2 start never form
     stages = [2.0]
-    if pr.p > 2.0:
-        q = 3.0
-        while q < pr.p - 1e-12:
-            stages.append(q)
-            q += 1.0
-        stages.append(pr.p)
-    elif pr.p < 2.0:
-        stages.append(pr.p)
-    delta = math.inf
+    if pr.p != 2.0:
+        stages += [float(q) for q in range(3, math.ceil(pr.p - 1e-12))] + [pr.p]
     for stage in stages:
-        final = stage == stages[-1]
-        tol = pr.tol if final else max(100.0 * pr.tol, 1e-7)
-        left = pr.max_iter - len(cg_history)
-        if left <= 0:
-            stop = "max_iter"
-            break
-        delta, stop = picard(stage, tol, left)
+        tol = pr.tol if stage == pr.p else max(100.0 * pr.tol, 1e-7)
+        resid, stop = picard(stage, tol)
         if stop != "converged":
             break
-    _, cE, cN = _cell_energy(u, r, dphi, pr.p, eps2)
+    if stage != pr.p:
+        # stopped in an intermediate stage: the residual of the problem's p
+        resid = _multigrid.residual(*_cell_energy(u, r, dphi, pr.p, eps2)[1:], u)[1]
     return MeasureSolution(
         problem=pr,
         r=r,
         phi=phi,
         omega=u,
-        final_update=delta,
         stop_reason=stop,
         energy_history=history,
         p_history=p_history,
         cg_history=cg_history,
         anderson_history=anderson_history,
-        final_residual=_multigrid.relative_residual(cE, cN, u),
+        final_residual=resid,
     )
 
 
@@ -451,15 +438,14 @@ def require_slope_window(problem: MeasureProblem) -> None:
         raise DomainError(f"slope window {SLOPE_WINDOW} of R holds {n} grid radii, fewer than 8")
 
 
-def fit_slope(solution: MeasureSolution, ray_angle: float = 0.0,
-              r_window: tuple = SLOPE_WINDOW) -> SlopeFit:
-    """Least-squares slope of log omega against log r along a ray.
+def fit_slope(solution: MeasureSolution, r_window: tuple = SLOPE_WINDOW) -> SlopeFit:
+    """Least-squares slope of log omega against log r along the axis phi = 0.
 
     The window is in fractions of R, strictly inside (0, 1), and must contain
     at least 8 grid radii; the returned fit's r_window is in units of r.
     """
     R = solution.problem.R
-    vals = solution.ray_values(ray_angle)
+    vals = solution.ray_values(0.0)
     m = _window(solution.r, R, r_window) & (vals > 0.0)
     if int(m.sum()) < 8:
         raise DomainError("slope window must contain at least 8 usable radii")

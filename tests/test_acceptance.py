@@ -166,7 +166,7 @@ def test_criterion_7_measure_slopes():
         assert sol.converged
         assert dt < 60.0, (nu, p, dt)
         k = radial_exponent(nu, p)
-        fit = fit_slope(sol, 0.0, (0.05, 0.4))
+        fit = fit_slope(sol)
         rel = abs(fit.exponent - k) / k
         assert rel <= tol, (nu, p, fit.exponent, k)
         lo, hi = comparability_constants(sol, k, REGION_S2NU)
@@ -181,7 +181,7 @@ def test_criterion_7_measure_slopes():
             sol, _ = solved(nu, p, n)
             lo, hi = comparability_constants(sol, k, REGION_S2NU)
             certs.append(hi / lo)
-            slopes.append(fit_slope(sol, 0.0, (0.05, 0.4)).exponent)
+            slopes.append(fit_slope(sol).exponent)
         assert abs(certs[1] - certs[0]) / certs[0] <= 0.02, (nu, p, certs)
         assert abs(slopes[1] - slopes[0]) / abs(slopes[0]) <= 0.02, (nu, p, slopes)
     report(7, "fitted slopes vs k at 256^2 [" + "; ".join(details)
@@ -220,11 +220,11 @@ def test_criterion_9_phragmen_sharpness():
 def test_criterion_10_cusp_witnesses():
     sol, dt = solved(8.0, 2.0)
     assert dt < 120.0
-    fit = fit_slope(sol, 0.0, (0.25, 0.7))
+    fit = fit_slope(sol, r_window=(0.25, 0.7))
     assert fit.exponent >= 5.0
     sol2, dt2 = solved(0.51, 3.0)
     assert dt2 < 120.0
-    fit2 = fit_slope(sol2, 0.0, (0.05, 0.4))
+    fit2 = fit_slope(sol2)
     target = 2.0 / 3.0
     rel = abs(fit2.exponent - target) / target
     assert rel <= 0.15

@@ -123,6 +123,7 @@ class TestMeasureCommand:
         assert data["converged"] is False
         assert data["stop_reason"] == "max_iter"
         assert "stopped on max_iter after 2 of 2 cycles" in err
+        assert f"final residual {data['final_residual']:.2e}" in err
 
     def test_mc_check_block(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"

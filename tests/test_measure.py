@@ -104,6 +104,28 @@ def reference_to_csv(sol, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def reference_relative_residual(sol):
+    # ||b - A u||_2 / ||b||_2 node by node, A frozen at the returned field
+    # with the problem's p and b what the Dirichlet data contribute
+    pr = sol.problem
+    r, phi = _grids(pr)
+    _, cE, cN = _cell_energy(sol.omega, r, phi[1] - phi[0], pr.p, pr.eps_reg**2)
+
+    def b_minus_Au(u):
+        out = np.zeros_like(u)
+        for i in range(1, u.shape[0] - 1):
+            for j in range(1, u.shape[1] - 1):
+                out[i, j] = (cE[i - 1, j] * (u[i - 1, j] - u[i, j])
+                             + cE[i, j] * (u[i + 1, j] - u[i, j])
+                             + cN[i, j - 1] * (u[i, j - 1] - u[i, j])
+                             + cN[i, j] * (u[i, j + 1] - u[i, j]))
+        return out
+
+    data = sol.omega.copy()
+    data[1:-1, 1:-1] = 0.0
+    return np.linalg.norm(b_minus_Au(sol.omega)) / np.linalg.norm(b_minus_Au(data))
+
+
 @pytest.fixture(scope="module")
 def harmonic_sol():
     return solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=128, n_phi=129))
@@ -142,7 +164,7 @@ class TestSolveMeasure:
 
     def test_converged_flag(self, harmonic_sol):
         assert harmonic_sol.converged
-        assert harmonic_sol.final_update < 1e-8
+        assert harmonic_sol.final_residual <= harmonic_sol.problem.tol
         assert len(harmonic_sol.energy_history) >= harmonic_sol.iterations
 
     def test_energy_settles(self, harmonic_sol):
@@ -219,22 +241,47 @@ class TestSolveMeasure:
         done = solve_measure(dataclasses.replace(pr, max_iter=4000))
         assert done.converged and done.final_residual < 1e-4 * sol.final_residual
 
-    def test_cg_breakdown_is_a_capped_cycle(self):
-        # at p = 20 the frozen coefficients span about 1e-100 to 1e9 and the
-        # CG recurrence breaks down in late cycles; the solve reports it
-        # instead of raising ZeroDivisionError
-        sol = solve_measure(MeasureProblem(nu=1.0, p=20.0, n_r=48, n_phi=48, max_iter=400))
+    @pytest.mark.parametrize("nu, p", [(1.0, 2.0), (2.0, 3.0), (1.0, 1.5)])
+    def test_converged_exactly_when_the_residual_is_within_tol(self, nu, p):
+        # one stop test: a solve converges exactly when final_residual <= tol,
+        # and a max_iter stop, in the final stage or before it, reports the
+        # residual of the field it returns, with the problem's p
+        pr = MeasureProblem(nu=nu, p=p, n_r=32, n_phi=33)
+        done = solve_measure(pr)
+        assert done.converged and done.final_residual <= pr.tol
+        assert done.final_residual == pytest.approx(reference_relative_residual(done), rel=1e-9)
+        for max_iter in (1, done.iterations - 1):
+            cut = solve_measure(dataclasses.replace(pr, max_iter=max_iter))
+            assert cut.stop_reason == "max_iter" and cut.iterations == max_iter
+            assert not cut.converged and cut.final_residual > pr.tol
+            assert cut.final_residual == pytest.approx(reference_relative_residual(cut),
+                                                       rel=1e-9)
+
+    def test_cg_breakdown_is_a_capped_cycle(self, monkeypatch):
+        # the frozen coefficients of a large p can break the CG recurrence
+        # down in rounding (r . z or p . A p not positive); the solve reports
+        # it as a capped cycle instead of raising ZeroDivisionError.  Here
+        # every cycle's hierarchy is one hand-built level whose dense
+        # "inverse" is minus the identity, so r . z < 0 at the first step
+        def negated(cE, cN):
+            n = (cN.shape[0] - 2) * (cE.shape[1] - 2)
+            return [_multigrid.Level(cE, cN, None, -np.eye(n))]
+
+        monkeypatch.setattr(_multigrid, "hierarchy", negated)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=20.0, n_r=24, n_phi=24, max_iter=400))
         assert not sol.converged
-        assert sol.stop_reason == "cg_capped"
-        assert sol.cg_capped > 0
+        assert sol.stop_reason == sol.summary()["stop_reason"] == "cg_capped"
+        assert sol.cg_history == [_multigrid.MAX_CG] * CAPPED_STOP
+        assert sol.cg_capped == CAPPED_STOP
         assert np.all(np.isfinite(sol.omega))
+        assert math.isfinite(sol.final_residual) and sol.final_residual > sol.problem.tol
 
     def test_capped_cycle_never_ends_a_stage(self, monkeypatch):
         # a CG solve that breaks down in its first iteration returns MAX_CG
-        # with u unmoved; the zero update must not count as convergence, and
+        # with u unmoved; the unchanged residual does not end the stage, and
         # CAPPED_STOP such solves in a row end the solve, still in its first
         # stage, before max_iter
-        def stalled(u, levels, rtol):
+        def stalled(u, levels, rtol, r):
             return _multigrid.MAX_CG
 
         monkeypatch.setattr(_multigrid, "pcg", stalled)
@@ -250,9 +297,9 @@ class TestSolveMeasure:
         pcg = _multigrid.pcg
         calls = []
 
-        def stalled_first(u, levels, rtol):
+        def stalled_first(u, levels, rtol, r):
             calls.append(None)
-            return _multigrid.MAX_CG if len(calls) < CAPPED_STOP else pcg(u, levels, rtol)
+            return _multigrid.MAX_CG if len(calls) < CAPPED_STOP else pcg(u, levels, rtol, r)
 
         monkeypatch.setattr(_multigrid, "pcg", stalled_first)
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=24, n_phi=24))
@@ -314,7 +361,7 @@ class TestSolveMeasure:
             sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=128,
                                                n_phi=129, eps_reg=eps))
             assert sol.converged
-            fits.append(fit_slope(sol, 0.0, (0.05, 0.4)).exponent)
+            fits.append(fit_slope(sol).exponent)
         assert abs(fits[1] - fits[0]) / abs(fits[0]) <= 0.01
 
     def test_mesh_refinement_slope_stability(self):
@@ -323,7 +370,7 @@ class TestSolveMeasure:
         for n in (64, 128):
             sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=n, n_phi=n + 1))
             assert sol.converged
-            fits.append(fit_slope(sol, 0.0, (0.05, 0.4)).exponent)
+            fits.append(fit_slope(sol).exponent)
         assert abs(fits[1] - fits[0]) / abs(fits[0]) <= 0.02
 
 
@@ -398,22 +445,21 @@ class TestFitSlope:
             phi=harmonic_sol.phi,
             omega=(harmonic_sol.r[:, None] / 1.0) ** 1.75
             * np.ones_like(harmonic_sol.phi)[None, :],
-            final_update=0.0,
         )
-        fit = fit_slope(sol, 0.0, (0.05, 0.4))
+        fit = fit_slope(sol)
         assert fit.exponent == pytest.approx(1.75, abs=1e-10)
         assert fit.rms <= 1e-12
 
     def test_harmonic_slope(self, harmonic_sol):
-        fit = fit_slope(sol := harmonic_sol, 0.0, (0.05, 0.4))
+        fit = fit_slope(sol := harmonic_sol)
         assert fit.exponent == pytest.approx(1.0, rel=0.05)
         del sol
 
     def test_window_validation(self, harmonic_sol):
         with pytest.raises(DomainError):
-            fit_slope(harmonic_sol, 0.0, (0.4, 0.05))
+            fit_slope(harmonic_sol, r_window=(0.4, 0.05))
         with pytest.raises(DomainError):
-            fit_slope(harmonic_sol, 0.0, (0.97, 0.999))
+            fit_slope(harmonic_sol, r_window=(0.97, 0.999))
 
 
 class TestComparability:
@@ -424,7 +470,6 @@ class TestComparability:
             phi=harmonic_sol.phi,
             omega=(harmonic_sol.r[:, None]) ** 2.0
             * np.ones_like(harmonic_sol.phi)[None, :],
-            final_update=0.0,
         )
         lo, hi = comparability_constants(sol, 2.0, REGION_S2NU)
         assert lo == pytest.approx(1.0, rel=1e-12)

@@ -69,7 +69,8 @@ def test_cg_reaches_its_residual_target(shape, coefficients, rtol):
     u = rng.random(shape)
     edges = (u[0, :].copy(), u[-1, :].copy(), u[:, 0].copy(), u[:, -1].copy())
     r0 = np.linalg.norm(reference_residual(u, cE, cN))
-    its = _multigrid.pcg(u, _multigrid.hierarchy(cE, cN), rtol)
+    res, _ = _multigrid.residual(cE, cN, u)
+    its = _multigrid.pcg(u, _multigrid.hierarchy(cE, cN), rtol, res)
     assert 0 < its < _multigrid.MAX_CG
     assert np.linalg.norm(reference_residual(u, cE, cN)) <= rtol * r0
     for before, after in zip(edges, (u[0, :], u[-1, :], u[:, 0], u[:, -1])):
@@ -82,7 +83,37 @@ def test_exact_on_a_single_level():
     levels = _multigrid.hierarchy(cE, cN)
     u = np.random.default_rng(5).random((8, 8))
     assert len(levels) == 1
-    assert _multigrid.pcg(u, levels, 1e-10) == 1
+    assert _multigrid.pcg(u, levels, 1e-10, _multigrid.residual(cE, cN, u)[0]) == 1
+
+
+@pytest.mark.parametrize("shape", SHAPES + [(8, 8), (4, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_residual_and_its_relative_norm(shape):
+    # b - A u node by node, and ||b|| as the norm of the data field's own
+    # residual, against residual's boundary lines; every boundary value of u
+    # is nonzero data here, corners included
+    cE, cN = edge_coefficients(shape, seed=8)
+    u = np.random.default_rng(9).random(shape)
+    data = u.copy()
+    data[1:-1, 1:-1] = 0.0
+    res, rel = _multigrid.residual(cE, cN, u)
+    want = reference_residual(u, cE, cN)
+    assert np.allclose(res, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert rel == pytest.approx(np.linalg.norm(want) / np.linalg.norm(reference_residual(data, cE, cN)),
+                                rel=1e-12)
+
+
+def test_cg_breakdown_returns_max_cg():
+    # negated coefficients make the operator negative definite: with the
+    # dense inverse of the positive one as preconditioner, r . z > 0 but
+    # p . A p < 0 at the first step, and pcg returns MAX_CG, u unmoved
+    cE, cN = edge_coefficients((8, 8), seed=10)
+    inverse = _multigrid.hierarchy(cE, cN)[0].inverse
+    levels = [_multigrid.Level(-cE, -cN, None, inverse)]
+    u = np.random.default_rng(11).random((8, 8))
+    before = u.copy()
+    res, _ = _multigrid.residual(-cE, -cN, u)
+    assert _multigrid.pcg(u, levels, 1e-10, res) == _multigrid.MAX_CG
+    assert np.array_equal(u, before)
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (8, 8)], ids=lambda s: f"{s[0]}x{s[1]}")

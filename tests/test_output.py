@@ -172,3 +172,16 @@ def test_json_numpy_scalars(tmp_path):
     assert path.read_bytes() == b'{\n  "a": [\n    2\n  ],\n  "b": 0.1\n}\n'
     with pytest.raises(TypeError):
         _output.write_json(tmp_path / "e.json", {"x": object()})
+
+
+def test_json_is_strict(tmp_path):
+    # a non-finite float, as a failed solve's residual, is written as null,
+    # so the file parses without accepting NaN or Infinity
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    path = tmp_path / "d.json"
+    _output.write_json(path, {"inf": math.inf, "nan": np.float64(math.nan),
+                              "rows": [{"x": -math.inf, "y": 1.5}], "pair": (math.nan, 2)})
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "inf": None, "nan": None, "rows": [{"x": None, "y": 1.5}], "pair": [None, 2]}
