@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 internal invariant failure, 4 solver non-convergence.  Numeric stdout uses
 10 significant digits; CSV/JSON files carry full shortest-round-trip floats.
 A config file of key = value lines supplies defaults; flags override it.
-The output directory resolves from --out-dir, then $PSECTOR_OUTDIR, then cwd.
+The output directory resolves from --out-dir, then $PSECTOR_OUTDIR, then the
+config file, then the current directory.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class CliConfig:
     def apply_args(self, args) -> "CliConfig":
         for f in fields(self):
             v = getattr(args, f.name, None)
-            if v is not None:
+            if v not in (None, ""):
                 setattr(self, f.name, v)
         return self
 
@@ -96,17 +97,9 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _resolve_outdir(cfg: CliConfig, args) -> str:
-    if getattr(args, "out_dir", None):
-        return args.out_dir
-    env = os.environ.get("PSECTOR_OUTDIR")
-    if env:
-        return env
-    return cfg.out_dir
-
-
 def _load_config(args) -> CliConfig:
     cfg = CliConfig.from_file(args.config) if getattr(args, "config", None) else CliConfig()
+    cfg.out_dir = os.environ.get("PSECTOR_OUTDIR") or cfg.out_dir
     cfg.apply_args(args)
     if cfg.seed < 0:
         raise DomainError(f"seed must be >= 0, got {cfg.seed}")
@@ -122,11 +115,10 @@ def cmd_exponent(args) -> int:
         from .experiments import run_exponent_table
 
         rep = run_exponent_table()
-        out_dir = _resolve_outdir(cfg, args)
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "exponent_table.csv")
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        path = os.path.join(cfg.out_dir, "exponent_table.csv")
         rep.write_csv(path)
-        rep.write_json(os.path.join(out_dir, "exponent_table.json"))
+        rep.write_json(os.path.join(cfg.out_dir, "exponent_table.json"))
         print(f"wrote {path}")
         return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
     nu, p = args.nu, args.p
@@ -148,11 +140,10 @@ def cmd_profile(args) -> int:
     from .profile import build_profile, write_profile_csv
 
     prof = build_profile(args.nu, args.p, cfg.samples)
-    out_dir = _resolve_outdir(cfg, args)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     p_label = "inf" if args.p == math.inf else f"{args.p:g}"
     name = args.out or f"profile_{args.nu:g}_{p_label}.csv"
-    path = os.path.join(out_dir, name)
+    path = os.path.join(cfg.out_dir, name)
     write_profile_csv(prof, path)
     print(f"case = {prof.case}")
     print(f"k = {_fmt(prof.k)}")
@@ -175,8 +166,7 @@ def cmd_measure(args) -> int:
     measure.require_slope_window(problem)
     if args.mc_check:
         require_mc_applicable(problem)
-    out_dir = _resolve_outdir(cfg, args)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     stem = f"measure_{args.nu:g}_{args.p:g}" + ("_inner" if args.inner_arc else "")
     sol = measure.solve_measure(problem)
     k = radial_exponent(args.nu, args.p)
@@ -194,14 +184,14 @@ def cmd_measure(args) -> int:
         rows, ok = mc_agreement(sol, MC_WALKS, cfg.seed)
         extra.update(mc_agreement=rows, mc_within_3_sigma=ok, mc_seed=cfg.seed,
                      mc_walks=MC_WALKS)
-    sol.to_csv(os.path.join(out_dir, stem + ".csv"))
-    measure.write_summary_json(sol, os.path.join(out_dir, stem + ".json"), extra)
+    sol.to_csv(os.path.join(cfg.out_dir, stem + ".csv"))
+    measure.write_summary_json(sol, os.path.join(cfg.out_dir, stem + ".json"), extra)
     print(f"k = {_fmt(k)}")
     print(f"slope = {_fmt(fit.exponent)}")
     print(f"ratio_min = {_fmt(lo)}")
     print(f"ratio_max = {_fmt(hi)}")
     print(f"converged = {sol.converged}")
-    print(f"wrote {os.path.join(out_dir, stem + '.csv')}")
+    print(f"wrote {os.path.join(cfg.out_dir, stem + '.csv')}")
     if not sol.converged:
         print(
             f"solver did not reach tol {problem.tol:g}: final residual {sol.final_residual:.2e},"
@@ -223,9 +213,8 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     from .verify import run_suites
 
-    out_dir = _resolve_outdir(cfg, args)
-    os.makedirs(out_dir, exist_ok=True)
-    reports = run_suites(args.suite, quick=args.quick, out_dir=out_dir, seed=cfg.seed)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    reports = run_suites(args.suite, quick=args.quick, out_dir=cfg.out_dir, seed=cfg.seed)
     failed = []
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

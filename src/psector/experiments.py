@@ -75,7 +75,8 @@ class ExperimentReport:
         })
 
     def write_csv(self, path) -> None:
-        cols = list(self.rows[0].keys()) if self.rows else []
+        # every row's keys, in first-seen order: rows need not share columns
+        cols = list(dict.fromkeys(key for row in self.rows for key in row))
         _output.write_table(
             path,
             [("experiment", self.experiment_id)]

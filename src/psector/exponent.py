@@ -123,7 +123,7 @@ def exponent_condition_residual(k: float, nu, p) -> float:
     if p == math.inf:
         a = 1.0
     else:
-        if abs(p - 2.0) < 1e-300:
+        if p == 2.0:
             raise DomainError("condition constants are undefined at p = 2")
         a = (p - 1.0) / (p - 2.0)
     ak = a * k

@@ -13,9 +13,8 @@ Each of the paper's four constructions of f is one evaluator:
   profile built on an extended angular domain, rotated back and renormalized.
 
 Every evaluator exposes `case`, `k`, `c`, `corners` (the angles where f''
-does not exist) and `eval(phi) -> (f, f', theta)`.  For the angle-map round
-trip each also gives `map_samples(rng, n)`, the angles to check (none at
-p = 2), and the others the map `theta_of` with its inverse `phi_of`.
+does not exist), `amap` (the AngleMap whose inverse theta_of_phi it calls,
+None for the closed form and the plateau) and `eval(phi) -> (f, f', theta)`.
 build_profile picks the evaluator and tabulates (phi, theta, f, f') through
 it on a uniform phi grid, in one call, normalized to f(0) = 1, with the
 realized band constants.
@@ -215,7 +214,7 @@ def _f_from_theta(theta, amap: AngleMap):
 class ClosedFormEvaluator:
     """p = 2: f = cos(nu*phi), theta = nu*phi, k = nu; defined for every phi."""
 
-    case, c, corners = CASE_P2, 1.0, ()
+    case, c, corners, amap = CASE_P2, 1.0, (), None
 
     def __init__(self, nu: float):
         self.nu = self.k = nu
@@ -224,10 +223,6 @@ class ClosedFormEvaluator:
         x, shape = _flat(phi)
         th = self.nu * x
         return _shaped(shape, np.cos(th), -self.nu * np.sin(th), th)
-
-    def map_samples(self, rng, n: int):
-        # theta = nu*phi exactly: no root finding to round-trip
-        return np.empty(0)
 
 
 class AngleMapEvaluator:
@@ -247,23 +242,13 @@ class AngleMapEvaluator:
         th = theta_of_phi(x, self.amap)
         return _shaped(shape, *_f_from_theta(th, self.amap), th)
 
-    def theta_of(self, phi):
-        return theta_of_phi(phi, self.amap)
-
-    def phi_of(self, theta):
-        return phi_of_theta(theta, self.amap)
-
-    def map_samples(self, rng, n: int):
-        alpha = math.pi / (2.0 * self.amap.nu)
-        return rng.uniform(-alpha + 1e-9, alpha - 1e-9, n)
-
 
 class PlateauEvaluator:
     """p = inf, nu < 1: f = 1 on |phi| <= pj = pi/(2 nu) - pi/2 and
     cos(|phi| - pj) on the flanks, with theta = sign(phi) (|phi| - pj); f''
     jumps at the junctions +-pj."""
 
-    case, k, c = CASE_INF, 1.0, 1.0
+    case, k, c, amap = CASE_INF, 1.0, 1.0, None
 
     def __init__(self, nu: float):
         self.alpha = math.pi / (2.0 * nu)
@@ -278,17 +263,6 @@ class PlateauEvaluator:
         return _shaped(shape, np.where(flank, np.cos(th), 1.0),
                        np.where(flank, -np.copysign(np.sin(th), x), 0.0),
                        np.where(flank, np.copysign(th, x), 0.0))
-
-    def theta_of(self, phi):
-        return np.copysign(np.abs(phi) - self.pj, phi)
-
-    def phi_of(self, theta):
-        return np.copysign(np.abs(theta) + self.pj, theta)
-
-    def map_samples(self, rng, n: int):
-        # the plateau flattens the map; it is invertible on the flanks only
-        samples = rng.uniform(self.pj + 1e-6, self.alpha, n)
-        return samples * rng.choice([-1.0, 1.0], n)
 
 
 class StreamEvaluator:
@@ -323,16 +297,6 @@ class StreamEvaluator:
         _check_bound(x, self.alpha, "|phi| must not exceed the sector bound")
         th, _, _, g, gp = self.pair(x + self.alpha)
         return _shaped(shape, g / self.g_max, gp / self.g_max, th)
-
-    def theta_of(self, psi):
-        return theta_of_phi(psi, self.amap)
-
-    def phi_of(self, theta):
-        return phi_of_theta(theta, self.amap)
-
-    def map_samples(self, rng, n: int):
-        # the conjugate map on the extended domain the stream rotates through
-        return rng.uniform(-self.alpha + 1e-9, math.pi / self.amap.nu - 1e-9, n)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .experiments import (
     run_stream_consistency,
 )
 from .pde import polar_residual_report, separation_report
-from .profile import build_profile
+from .profile import build_profile, phi_of_theta, theta_of_phi
 
 PROFILE_CASES = [(nu, p) for nu in (0.5, 1.0, 2.0, 4.0)
                  for p in (1.5, 2.0, 3.0, 4.0, math.inf)]
@@ -94,10 +94,13 @@ def profile_suite() -> list[ExperimentReport]:
             "band_inner_min_f": prof.band_inner_min_f,
             "band_outer_min_fprime": prof.band_outer_min_fprime,
         })
-        ev = prof.evaluator
-        xs = ev.map_samples(rng, 200)
-        if len(xs):
-            worst_rt = max(worst_rt, float(np.max(np.abs(ev.phi_of(ev.theta_of(xs)) - xs))))
+        amap = prof.evaluator.amap
+        if amap is not None:
+            # the map's whole range, the image of the bisection bracket [-pi, pi]
+            bound = math.pi / amap.nu
+            xs = rng.uniform(-bound, bound, 200)
+            back = phi_of_theta(theta_of_phi(xs, amap), amap)
+            worst_rt = max(worst_rt, float(np.max(np.abs(back - xs))))
     rep.check("profiles build with all invariants", True, f"{len(PROFILE_CASES)} cases")
     rep.check("angle-map round trip", worst_rt <= 1e-10, f"max |phi - phi'| = {worst_rt:.2e}")
     return [rep]

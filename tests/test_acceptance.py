@@ -27,7 +27,7 @@ from psector.measure import (
     solve_measure,
 )
 from psector.pde import polar_residual_report, separation_report
-from psector.profile import build_profile
+from psector.profile import build_profile, phi_of_theta, theta_of_phi
 from psector.verify import MEASURE_CASES, NU_GRID, P_GRID, PROFILE_CASES
 
 _solve_cache = {}
@@ -117,9 +117,13 @@ def test_criterion_4_profile_invariants():
         assert prof.f.min() >= -1e-12 and prof.f.max() <= 1.0 + 1e-12
         assert np.max(np.abs(prof.f - prof.f[::-1])) <= 1e-10
         assert np.max(np.abs(prof.fprime + prof.fprime[::-1])) <= 1e-10
-        ev = prof.evaluator
-        for x in ev.map_samples(rng, 200):
-            worst_rt = max(worst_rt, abs(ev.phi_of(ev.theta_of(x)) - x))
+        amap = prof.evaluator.amap
+        if amap is not None:
+            # the map's whole range, the image of the bisection bracket
+            bound = math.pi / amap.nu
+            xs = rng.uniform(-bound, bound, 200)
+            back = phi_of_theta(theta_of_phi(xs, amap), amap)
+            worst_rt = max(worst_rt, float(np.max(np.abs(back - xs))))
     dt = time.time() - t0
     assert worst_rt <= 1e-10
     assert dt < 10.0

@@ -333,6 +333,22 @@ class TestConfig:
         assert code == 0
         assert (tmp_path / "envdir" / "profile_1_2.csv").exists()
 
+    def test_out_dir_precedence(self, capsys, tmp_path, monkeypatch):
+        # flag, then $PSECTOR_OUTDIR, then the config file; an empty flag or
+        # variable counts as unset
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text(f"out_dir = {tmp_path / 'cfgdir'}\n")
+        for flag, env, where in [(None, "", "cfgdir"), (None, "envdir", "envdir"),
+                                 ("", "envdir", "envdir"), ("flagdir", "envdir", "flagdir")]:
+            monkeypatch.setenv("PSECTOR_OUTDIR", env and str(tmp_path / env))
+            out = [] if flag is None else ["--out-dir", flag and str(tmp_path / flag)]
+            code, _, _ = run_cli(capsys, "profile", "--nu", "1", "--p", "2",
+                                 "--config", str(cfg), *out)
+            assert code == 0
+            path = tmp_path / where / "profile_1_2.csv"
+            assert path.exists(), (flag, env)
+            path.unlink()
+
     def test_comments_and_blanks_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# a comment\n\nsamples = 33  # trailing\n")

@@ -6,6 +6,7 @@ import pytest
 from psector import experiments, measure, verify
 from psector.exponent import DomainError
 from psector.experiments import (
+    ExperimentReport,
     mc_agreement,
     run_exponent_table,
     run_growth_bounds,
@@ -161,6 +162,17 @@ class TestReportSerialization:
         lines = a.read_text().splitlines()
         assert lines[0].startswith("# experiment = ")
         assert "nu,p,k" in lines
+
+    def test_csv_carries_every_rows_columns(self, tmp_path):
+        # the columns are the union of the row keys in first-seen order, so a
+        # key missing from the first row still gets its column
+        rep = ExperimentReport("mixed", {"nu": 1.0}, rows=[
+            {"nu": 1.0, "k": 1.0}, {"nu": 2.0, "ratio_min": 0.5},
+            {"certificate": "ok", "nu": 3.0}])
+        rep.write_csv(tmp_path / "mixed.csv")
+        lines = [ln for ln in (tmp_path / "mixed.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert lines == ["nu,k,ratio_min,certificate", "1.0,1.0,,", "2.0,,0.5,", "3.0,,,ok"]
 
     def test_mc_experiment_deterministic(self):
         r1 = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49, mc_check=True,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psector import profile
+from psector import profile, verify
 from psector.exponent import DomainError, radial_exponent
 from psector.verify import PROFILE_CASES
 from psector.profile import (
@@ -179,15 +179,19 @@ class TestArrayPath:
     @pytest.mark.parametrize("nu, p", [(nu, p) for nu, p in PROFILE_CASES
                                        if p != 2.0 and (p < math.inf or nu >= 1.0)])
     def test_scalar_map_is_array_element(self, nu, p):
-        # map_samples of the angle-map and stream cases, which for the stream
-        # reach into the extended domain up to pi/nu
+        # each function on its documented domain: theta_of_phi on
+        # |phi| <= pi/nu, phi_of_theta on the image, the angle-map eval on
+        # |phi| <= pi/nu and the stream's pair on [-pi/(2 nu), pi/nu]
         ev = build_profile(nu, p, 17).evaluator
-        xs = ev.map_samples(np.random.default_rng(7), 10)
-        thetas = ev.theta_of(xs)
-        fns = [ev.theta_of, ev.phi_of, ev.pair if p < 2.0 else ev.eval]
-        for fn, arg in zip(fns, (xs, thetas, xs)):
+        amap, rng = ev.amap, np.random.default_rng(7)
+        bound = math.pi / amap.nu
+        xs = rng.uniform(-bound, bound, 10)
+        cases = [(lambda x: theta_of_phi(x, amap), xs),
+                 (lambda t: phi_of_theta(t, amap), theta_of_phi(xs, amap)),
+                 (ev.pair, rng.uniform(-bound / 2, bound, 10)) if p < 2.0 else (ev.eval, xs)]
+        for i, (fn, arg) in enumerate(cases):
             scalar = [fn(x) for x in arg.tolist()]
-            assert np.array_equal(_bits(scalar), _bits(np.stack(fn(arg), axis=-1))), fn
+            assert np.array_equal(_bits(scalar), _bits(np.stack(fn(arg), axis=-1))), i
 
     @pytest.mark.parametrize("nu, p", [(2.0, 3.0), (4.0, 3.0), (2.0, math.inf), (0.5, 3.0)])
     def test_theta_is_odd_on_arrays(self, nu, p):
@@ -213,6 +217,21 @@ class TestArrayPath:
         ev = build_profile(4.0, 1.5, 17).evaluator
         assert ev.eval(0.0)[0] == 1.0
         assert ev.eval(np.linspace(-0.3, 0.3, 7))[0][3] == 1.0
+
+
+class TestRoundTripCheck:
+    def test_an_offset_inverse_fails(self, monkeypatch):
+        # profile_suite checks theta_of_phi itself on [-pi/nu, pi/nu]: the
+        # exact inverse passes, one shifted by 1e-9 fails
+        def crit():
+            [rep] = verify.profile_suite()
+            return next(c for c in rep.criteria if c["name"] == "angle-map round trip")
+
+        assert crit()["passed"]
+        monkeypatch.setattr(verify, "theta_of_phi",
+                            lambda phi, amap: theta_of_phi(phi, amap) + 1e-9)
+        assert crit() == {"name": "angle-map round trip", "passed": False,
+                          "detail": "max |phi - phi'| = 4.00e-09"}
 
 
 class TestBuildProfile:
