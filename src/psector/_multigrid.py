@@ -157,15 +157,15 @@ def hierarchy(cE, cN) -> list:
             cE, cN = _restrict(cE, 1), _series(cN, 1, n_phi)
 
 
-def apply(level, x, out=None):
-    """The level's operator on x, at the interior nodes; 0 on the boundary.
+def apply(cE, cN, x, out=None):
+    """The operator of cE and cN on x, at the interior nodes; 0 on the boundary.
 
     Boundary values of x enter as the Dirichlet data of the neighbours.
     """
     fr = x[1:] - x[:-1]
-    fr *= level.cE
+    fr *= cE
     fa = x[:, 1:] - x[:, :-1]
-    fa *= level.cN
+    fa *= cN
     if out is None:
         out = np.zeros_like(x)
     inner = out[1:-1, 1:-1]
@@ -179,7 +179,7 @@ def residual(cE, cN, u):
     """(b - A u, ||b - A u||_2 / ||b||_2) for the frozen system of cE and cN,
     b what the boundary values of u contribute; ||b|| is formed on the four
     lines next to the boundary, where b lives.  Needs 4 nodes per side."""
-    r = apply(Level(cE, cN, None, None), u)
+    r = apply(cE, cN, u)
     np.negative(r, out=r)
     # b on rows 1 and -2, then on columns 1 and -2; a corner node takes both
     rows = cE[[0, -1], 1:-1] * u[[0, -1], 1:-1]
@@ -233,7 +233,7 @@ def pcg(u, levels, rtol, r) -> int:
     q = np.zeros_like(u)
     tmp = np.empty_like(u)
     for it in range(1, MAX_CG + 1):
-        pq = dot(p, apply(level, p, q))
+        pq = dot(p, apply(level.cE, level.cN, p, q))
         if not (rz > 0.0 and pq > 0.0):
             return MAX_CG
         alpha = rz / pq

@@ -106,8 +106,7 @@ def _load_config(args) -> CliConfig:
     return cfg
 
 
-def cmd_exponent(args) -> int:
-    cfg = _load_config(args)
+def cmd_exponent(args, cfg: CliConfig) -> int:
     if not args.table and (args.nu is None or args.p is None):
         print("error: --nu and --p are required unless --table is given", file=sys.stderr)
         return EXIT_USAGE
@@ -135,8 +134,7 @@ def cmd_exponent(args) -> int:
     return EXIT_OK
 
 
-def cmd_profile(args) -> int:
-    cfg = _load_config(args)
+def cmd_profile(args, cfg: CliConfig) -> int:
     from .profile import build_profile, write_profile_csv
 
     prof = build_profile(args.nu, args.p, cfg.samples)
@@ -154,8 +152,7 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def cmd_measure(args) -> int:
-    cfg = _load_config(args)
+def cmd_measure(args, cfg: CliConfig) -> int:
     from .experiments import MC_WALKS, mc_agreement, require_mc_applicable
 
     problem = measure.MeasureProblem(
@@ -205,8 +202,7 @@ def cmd_measure(args) -> int:
 SUITES = ("exponent", "profile", "pde", "measure", "stream", "phragmen", "all")
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def cmd_verify(args, cfg: CliConfig) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}",
               file=sys.stderr)
@@ -292,7 +288,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except ProfileInvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -19,9 +19,9 @@ converges only linearly, Anderson mixing of the last ANDERSON_DEPTH steps,
 each mixed iterate taken only if its energy is at most that of the plain
 Picard result, so the energy still never rises.  A stage stops on the
 relative residual its cycle's CG solve starts from, or after CAPPED_STOP
-consecutive capped CG solves.  Each cycle records the discrete energy of the
-stage being solved (its own p), the stage p, the number of CG iterations and
-whether a mixed iterate was taken, as convergence diagnostics.
+consecutive capped CG solves.  Each cycle appends one Cycle record: the stage
+p, the discrete energy of the stage being solved (its own p), the number of
+CG iterations and whether a mixed iterate was taken, as convergence diagnostics.
 
 mc_harmonic_measure is an independent walk-on-spheres Monte Carlo oracle for
 the p = 2 case.  fit_slope extracts the radial decay exponent from a solved
@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +108,18 @@ class MeasureProblem:
         return math.pi / (2.0 * self.nu)
 
 
+class Cycle(NamedTuple):
+    """One Picard cycle: its stage p, the energy of the field it starts from
+    at that p, the CG iterations of its inner solve, and whether it took the
+    Anderson-mixed iterate (None where none was tried: p >= 2 stages and the
+    first cycle of a p < 2 stage)."""
+
+    p: float
+    energy: float
+    cg: int
+    anderson: bool | None
+
+
 @dataclass
 class MeasureSolution:
     problem: MeasureProblem
@@ -115,15 +128,7 @@ class MeasureSolution:
     omega: np.ndarray  # shape (n_r, n_phi), values in [0, 1]
     # "converged", "max_iter" or "cg_capped"; None on a hand-built solution
     stop_reason: str | None = None
-    energy_history: list = field(default_factory=list)
-    # per Picard cycle, parallel to energy_history: the stage p and the CG
-    # iterations of the cycle's inner solve
-    p_history: list = field(default_factory=list)
-    cg_history: list = field(default_factory=list)
-    # per cycle: True where the Anderson-mixed iterate was taken, False where
-    # the energy test refused it, None where none was tried (p >= 2 stages
-    # and the first cycle of a p < 2 stage)
-    anderson_history: list = field(default_factory=list)
+    cycles: list = field(default_factory=list)  # one Cycle per Picard cycle
     # ||A(u) u - b||_2 / ||b||_2 at the returned field, the coefficients
     # frozen at it with the problem's p; None on a hand-built solution
     final_residual: float | None = None
@@ -131,7 +136,7 @@ class MeasureSolution:
     @property
     def iterations(self) -> int:
         """Picard cycles run, over all continuation stages."""
-        return len(self.cg_history)
+        return len(self.cycles)
 
     @property
     def converged(self) -> bool:
@@ -141,7 +146,7 @@ class MeasureSolution:
     def cg_capped(self) -> int:
         """Cycles whose CG solve ran all _multigrid.MAX_CG iterations, which
         is where pcg stops when it does not reach CG_RTOL."""
-        return sum(its >= _multigrid.MAX_CG for its in self.cg_history)
+        return sum(c.cg >= _multigrid.MAX_CG for c in self.cycles)
 
     def ray_values(self, ray_angle: float) -> np.ndarray:
         """Field along a ray, linearly interpolated in phi between columns."""
@@ -177,6 +182,7 @@ class MeasureSolution:
 
     def summary(self) -> dict:
         pr = self.problem
+        anderson = [c.anderson for c in self.cycles]
         return {
             "nu": pr.nu,
             "p": pr.p,
@@ -191,10 +197,10 @@ class MeasureSolution:
             "iterations": self.iterations,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
-            "cg_iterations_max": max(self.cg_history, default=0),
+            "cg_iterations_max": max((c.cg for c in self.cycles), default=0),
             "cg_capped": self.cg_capped,
-            "anderson_taken": self.anderson_history.count(True),
-            "anderson_refused": self.anderson_history.count(False),
+            "anderson_taken": anderson.count(True),
+            "anderson_refused": anderson.count(False),
             "final_residual": self.final_residual,
         }
 
@@ -313,7 +319,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     u[1:-1, 1:-1] = (r[1:-1, None] / pr.R) ** pr.nu * shape * u[-1, 1:-1].clip(0.0, 1.0)
 
     eps2 = pr.eps_reg**2
-    history, p_history, cg_history, anderson_history = [], [], [], []
+    cycles = []
 
     def picard(p_stage: float, tol: float):
         """Lagged-diffusivity cycles at one exponent; updates u.  Returns the
@@ -340,15 +346,14 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 return resid, "converged"
             if capped_run == CAPPED_STOP:
                 return resid, "cg_capped"
-            if len(cg_history) == pr.max_iter:
+            if len(cycles) == pr.max_iter:
                 return resid, "max_iter"
-            history.append(carried[0])
+            energy = carried[0]
             if levels is None:
                 levels = _multigrid.hierarchy(*carried[1:])
             carried = None
             uold = u.copy()
-            cg_history.append(_multigrid.pcg(u, levels, CG_RTOL, res))
-            p_history.append(p_stage)
+            cg = _multigrid.pcg(u, levels, CG_RTOL, res)
             if p_stage != 2.0:
                 # the next cycle builds its own levels; holding these while
                 # it does would keep two sets of packed coefficients alive
@@ -392,8 +397,8 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 if tau < 1.0:
                     u = uold + tau * du
                 du_prev = du
-            anderson_history.append(taken)
-            capped_run = capped_run + 1 if cg_history[-1] >= _multigrid.MAX_CG else 0
+            cycles.append(Cycle(p_stage, energy, cg, taken))
+            capped_run = capped_run + 1 if cg >= _multigrid.MAX_CG else 0
 
     # continuation in p from the linear case, stepping by at most 1, so the
     # strongly nonlinear stages start from a nearby solution and the
@@ -415,10 +420,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         phi=phi,
         omega=u,
         stop_reason=stop,
-        energy_history=history,
-        p_history=p_history,
-        cg_history=cg_history,
-        anderson_history=anderson_history,
+        cycles=cycles,
         final_residual=resid,
     )
 
@@ -438,15 +440,14 @@ def require_slope_window(problem: MeasureProblem) -> None:
         raise DomainError(f"slope window {SLOPE_WINDOW} of R holds {n} grid radii, fewer than 8")
 
 
-def fit_slope(solution: MeasureSolution, r_window: tuple = SLOPE_WINDOW) -> SlopeFit:
-    """Least-squares slope of log omega against log r along the axis phi = 0.
-
-    The window is in fractions of R, strictly inside (0, 1), and must contain
-    at least 8 grid radii; the returned fit's r_window is in units of r.
+def fit_slope(solution: MeasureSolution) -> SlopeFit:
+    """Least-squares slope of log omega against log r along the axis phi = 0,
+    over the radii in SLOPE_WINDOW where omega is positive; there must be at
+    least 8.  The returned fit's r_window is in units of r.
     """
     R = solution.problem.R
     vals = solution.ray_values(0.0)
-    m = _window(solution.r, R, r_window) & (vals > 0.0)
+    m = _window(solution.r, R, SLOPE_WINDOW) & (vals > 0.0)
     if int(m.sum()) < 8:
         raise DomainError("slope window must contain at least 8 usable radii")
     x = np.log(solution.r[m])
@@ -457,7 +458,7 @@ def fit_slope(solution: MeasureSolution, r_window: tuple = SLOPE_WINDOW) -> Slop
     return SlopeFit(
         exponent=float(coef[0]),
         rms=float(np.sqrt(np.mean(resid**2))),
-        r_window=(r_window[0] * R, r_window[1] * R),
+        r_window=(SLOPE_WINDOW[0] * R, SLOPE_WINDOW[1] * R),
     )
 
 
@@ -468,7 +469,7 @@ def comparability_constants(solution: MeasureSolution, k: float,
 
     region selects the angular range: REGION_S2NU keeps |phi| <= pi/(4 nu),
     REGION_SNU the full sector.  A margin of 2 grid cells is dropped at every
-    boundary, and r_window (fractions of R, as for fit_slope) keeps the
+    boundary, and r_window (fractions of R, as SLOPE_WINDOW) keeps the
     certificate away from the apex truncation ring and the arc layer, where
     the discrete field is boundary-layer rather than power-law.
     """

@@ -224,7 +224,7 @@ def test_criterion_9_phragmen_sharpness():
 def test_criterion_10_cusp_witnesses():
     sol, dt = solved(8.0, 2.0)
     assert dt < 120.0
-    fit = fit_slope(sol, r_window=(0.25, 0.7))
+    fit = fit_slope(sol)
     assert fit.exponent >= 5.0
     sol2, dt2 = solved(0.51, 3.0)
     assert dt2 < 120.0

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -14,6 +15,7 @@ from psector.measure import (
     INNER_ARC,
     REGION_S2NU,
     REGION_SNU,
+    SLOPE_WINDOW,
     MeasureProblem,
     MeasureSolution,
     _cell_energy,
@@ -165,10 +167,10 @@ class TestSolveMeasure:
     def test_converged_flag(self, harmonic_sol):
         assert harmonic_sol.converged
         assert harmonic_sol.final_residual <= harmonic_sol.problem.tol
-        assert len(harmonic_sol.energy_history) >= harmonic_sol.iterations
+        assert len([c.energy for c in harmonic_sol.cycles]) >= harmonic_sol.iterations
 
     def test_energy_settles(self, harmonic_sol):
-        hist = harmonic_sol.energy_history
+        hist = [c.energy for c in harmonic_sol.cycles]
         assert abs(hist[-1] - hist[-2]) <= 1e-6 * abs(hist[-1])
 
     def test_energy_is_the_stage_energy(self):
@@ -178,17 +180,20 @@ class TestSolveMeasure:
         for nu in (1.0, 2.0):
             lin = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=48, n_phi=48))
             cont = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=48, n_phi=48))
-            assert len(cont.p_history) == len(cont.energy_history) == cont.iterations
-            first = cont.p_history.index(3.0)
-            assert first > 0 and set(cont.p_history[:first]) == {2.0}
-            assert cont.energy_history[:first] == lin.energy_history[:first]
-            assert cont.energy_history[first] != lin.energy_history[first]
+            stage_p = [c.p for c in cont.cycles]
+            energy = [c.energy for c in cont.cycles]
+            lin_energy = [c.energy for c in lin.cycles]
+            assert len(stage_p) == len(energy) == cont.iterations
+            first = stage_p.index(3.0)
+            assert first > 0 and set(stage_p[:first]) == {2.0}
+            assert energy[:first] == lin_energy[:first]
+            assert energy[first] != lin_energy[first]
 
     @pytest.mark.parametrize("nu, p", [case[:2] for case in MEASURE_CASES] + [(1.0, 1.1)])
     def test_final_stage_energy_never_rises(self, nu, p):
         sol = solve_measure(MeasureProblem(nu=nu, p=p, n_r=128, n_phi=128))
         assert sol.converged
-        energy = [e for e, q in zip(sol.energy_history, sol.p_history) if q == p]
+        energy = [c.energy for c in sol.cycles if c.p == p]
         assert len(energy) > 1
         for before, after in zip(energy, energy[1:]):
             assert after - before <= 1e-12 * abs(before)
@@ -202,7 +207,7 @@ class TestSolveMeasure:
         eps2 = 1e-4
         u = np.random.default_rng(7).random((16, 16))
         _, cE, cN = _cell_energy(u, r, dphi, p, eps2)
-        grad = _multigrid.apply(_multigrid.hierarchy(cE, cN)[0], u)
+        grad = _multigrid.apply(cE, cN, u)
         h = 1e-6
         fd = np.zeros_like(u)
         for i in range(1, 15):
@@ -219,23 +224,8 @@ class TestSolveMeasure:
         # residual is still that of the p = 3 operator frozen at the field
         pr = MeasureProblem(nu=2.0, p=3.0, n_r=24, n_phi=25, max_iter=2)
         sol = solve_measure(pr)
-        assert sol.p_history == [2.0, 2.0]
-        r, phi = _grids(pr)
-        _, cE, cN = _cell_energy(sol.omega, r, phi[1] - phi[0], pr.p, pr.eps_reg**2)
-
-        def b_minus_Au(u):  # node by node: data enter from the boundary
-            out = np.zeros_like(u)
-            for i in range(1, u.shape[0] - 1):
-                for j in range(1, u.shape[1] - 1):
-                    out[i, j] = (cE[i - 1, j] * (u[i - 1, j] - u[i, j])
-                                 + cE[i, j] * (u[i + 1, j] - u[i, j])
-                                 + cN[i, j - 1] * (u[i, j - 1] - u[i, j])
-                                 + cN[i, j] * (u[i, j + 1] - u[i, j]))
-            return out
-
-        data = sol.omega.copy()
-        data[1:-1, 1:-1] = 0.0
-        want = np.linalg.norm(b_minus_Au(sol.omega)) / np.linalg.norm(b_minus_Au(data))
+        assert [c.p for c in sol.cycles] == [2.0, 2.0]
+        want = reference_relative_residual(sol)
         assert sol.final_residual == pytest.approx(want, rel=1e-9)
         assert sol.summary()["final_residual"] == sol.final_residual
         done = solve_measure(dataclasses.replace(pr, max_iter=4000))
@@ -271,7 +261,7 @@ class TestSolveMeasure:
         sol = solve_measure(MeasureProblem(nu=1.0, p=20.0, n_r=24, n_phi=24, max_iter=400))
         assert not sol.converged
         assert sol.stop_reason == sol.summary()["stop_reason"] == "cg_capped"
-        assert sol.cg_history == [_multigrid.MAX_CG] * CAPPED_STOP
+        assert [c.cg for c in sol.cycles] == [_multigrid.MAX_CG] * CAPPED_STOP
         assert sol.cg_capped == CAPPED_STOP
         assert np.all(np.isfinite(sol.omega))
         assert math.isfinite(sol.final_residual) and sol.final_residual > sol.problem.tol
@@ -288,7 +278,7 @@ class TestSolveMeasure:
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=24, n_phi=24, max_iter=6))
         assert not sol.converged and sol.stop_reason == "cg_capped"
         assert sol.iterations == sol.cg_capped == CAPPED_STOP == 5
-        assert sol.p_history == [2.0] * 5
+        assert [c.p for c in sol.cycles] == [2.0] * 5
         assert sol.summary()["stop_reason"] == "cg_capped"
 
     def test_capped_stop_counts_consecutive_solves(self, monkeypatch):
@@ -305,18 +295,38 @@ class TestSolveMeasure:
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=24, n_phi=24))
         assert sol.converged and sol.stop_reason == "converged"
         assert sol.cg_capped == CAPPED_STOP - 1
-        assert sol.p_history[:CAPPED_STOP] == [2.0] * CAPPED_STOP
+        assert [c.p for c in sol.cycles[:CAPPED_STOP]] == [2.0] * CAPPED_STOP
+
+    def test_one_cycle_record_per_picard_cycle(self, monkeypatch):
+        # each Cycle's cg is what its cycle's pcg returned, its p runs
+        # through the continuation stages in order, and the summary's counts
+        # are counts over the records
+        pcg, returned = _multigrid.pcg, []
+
+        def logged(u, levels, rtol, r):
+            returned.append(pcg(u, levels, rtol, r))
+            return returned[-1]
+
+        monkeypatch.setattr(_multigrid, "pcg", logged)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=4.0, n_r=32, n_phi=32))
+        assert sol.converged
+        assert [c.cg for c in sol.cycles] == returned
+        assert [p for p, _ in itertools.groupby(c.p for c in sol.cycles)] == [2.0, 3.0, 4.0]
+        summary = sol.summary()
+        assert summary["cg_iterations_max"] == max(c.cg for c in sol.cycles)
+        assert summary["anderson_taken"] == sum(c.anderson is True for c in sol.cycles)
+        assert summary["anderson_refused"] == sum(c.anderson is False for c in sol.cycles)
 
     def test_capped_cg_is_reported(self, monkeypatch):
         sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=64, n_phi=64))
         assert sol.cg_capped == 0
         summary = sol.summary()
         assert summary["cg_capped"] == 0
-        assert summary["cg_iterations_max"] == max(sol.cg_history) > 0
+        assert summary["cg_iterations_max"] == max(c.cg for c in sol.cycles) > 0
         monkeypatch.setattr(_multigrid, "MAX_CG", 1)
         starved = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=32, n_phi=32))
         assert starved.cg_capped > 0
-        assert starved.cg_capped == starved.cg_history.count(1)
+        assert starved.cg_capped == [c.cg for c in starved.cycles].count(1)
         assert starved.summary()["cg_capped"] == starved.cg_capped
         assert starved.summary()["cg_iterations_max"] == 1
 
@@ -383,10 +393,10 @@ class TestAndersonMixing:
         monkeypatch.setattr(measure, "_anderson_mix", lambda g, f, dF, dG: g + f)
         sol = solve_measure(MeasureProblem(nu=1.0, p=1.5, n_r=64, n_phi=64))
         assert sol.converged
-        final = [a for a, q in zip(sol.anderson_history, sol.p_history) if q == 1.5]
+        final = [c.anderson for c in sol.cycles if c.p == 1.5]
         assert final[0] is None and False in final[1:]
         assert sol.summary()["anderson_refused"] == final.count(False)
-        energy = [e for e, q in zip(sol.energy_history, sol.p_history) if q == 1.5]
+        energy = [c.energy for c in sol.cycles if c.p == 1.5]
         for before, after in zip(energy, energy[1:]):
             assert after - before <= 1e-12 * abs(before)
 
@@ -403,7 +413,7 @@ class TestAndersonMixing:
 
         monkeypatch.setattr(measure, "_anderson_mix", rough)
         refused = solve_measure(pr)
-        final = [a for a, q in zip(refused.anderson_history, refused.p_history) if q == 1.5]
+        final = [c.anderson for c in refused.cycles if c.p == 1.5]
         assert final[0] is None and set(final[1:]) == {False}
         assert refused.summary()["anderson_taken"] == 0
         monkeypatch.setattr(measure, "ANDERSON_DEPTH", 0)
@@ -411,7 +421,7 @@ class TestAndersonMixing:
         assert refused.converged and plain.converged
         assert refused.iterations == plain.iterations
         assert np.array_equal(refused.omega, plain.omega)
-        assert refused.energy_history == plain.energy_history
+        assert [c.energy for c in refused.cycles] == [c.energy for c in plain.cycles]
 
     def test_mixing_moves_cycles_not_the_field(self, monkeypatch):
         pr = MeasureProblem(nu=1.0, p=1.5, n_r=64, n_phi=64)
@@ -419,8 +429,8 @@ class TestAndersonMixing:
         monkeypatch.setattr(measure, "ANDERSON_DEPTH", 0)
         plain = solve_measure(pr)
         assert mixed.converged and plain.converged
-        assert set(plain.anderson_history) == {None}
-        assert True in mixed.anderson_history
+        assert {c.anderson for c in plain.cycles} == {None}
+        assert True in [c.anderson for c in mixed.cycles]
         assert np.max(np.abs(mixed.omega - plain.omega)) <= 1e-6
         assert mixed.iterations < plain.iterations
 
@@ -433,7 +443,7 @@ class TestAndersonMixing:
     def test_no_mixing_at_p_2_and_above(self, nu, p):
         sol = solve_measure(MeasureProblem(nu=nu, p=p, n_r=64, n_phi=64))
         assert sol.converged
-        assert sol.anderson_history == [None] * sol.iterations
+        assert [c.anderson for c in sol.cycles] == [None] * sol.iterations
         assert sol.summary()["anderson_taken"] == sol.summary()["anderson_refused"] == 0
 
 
@@ -456,10 +466,20 @@ class TestFitSlope:
         del sol
 
     def test_window_validation(self, harmonic_sol):
-        with pytest.raises(DomainError):
-            fit_slope(harmonic_sol, r_window=(0.4, 0.05))
-        with pytest.raises(DomainError):
-            fit_slope(harmonic_sol, r_window=(0.97, 0.999))
+        # a planted power law positive at only 7 of the radii in SLOPE_WINDOW
+        # is refused; at 8 it is fitted
+        r = harmonic_sol.r
+        inside = np.flatnonzero((r >= SLOPE_WINDOW[0]) & (r <= SLOPE_WINDOW[1]))
+
+        def planted(n):
+            ray = np.zeros_like(r)
+            ray[inside[:n]] = r[inside[:n]] ** 1.75
+            return dataclasses.replace(harmonic_sol, omega=np.repeat(
+                ray[:, None], len(harmonic_sol.phi), axis=1))
+
+        with pytest.raises(DomainError, match="at least 8"):
+            fit_slope(planted(7))
+        assert fit_slope(planted(8)).exponent == pytest.approx(1.75, abs=1e-10)
 
 
 class TestComparability:

@@ -130,8 +130,8 @@ def test_cg_iterations_do_not_grow_with_the_grid():
     for n in (64, 256):
         sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=n, n_phi=n))
         assert sol.converged
-        assert len(sol.cg_history) == len(sol.p_history) == sol.iterations
-        counts[n] = [c for q, c in zip(sol.p_history, sol.cg_history) if q == 3.0]
+        assert len([c.cg for c in sol.cycles]) == len([c.p for c in sol.cycles]) == sol.iterations
+        counts[n] = [c.cg for c in sol.cycles if c.p == 3.0]
     assert abs(max(counts[64]) - max(counts[256])) <= 2
     assert abs(np.mean(counts[64]) - np.mean(counts[256])) <= 2
 
@@ -148,8 +148,9 @@ def test_p2_stage_builds_its_hierarchy_once(monkeypatch, p):
 
     monkeypatch.setattr(_multigrid, "hierarchy", counted)
     sol = solve_measure(MeasureProblem(nu=2.0, p=p, n_r=64, n_phi=64))
-    assert sol.converged and sol.p_history.count(2.0) > 1
-    assert len(calls) == 1 + sol.p_history.count(3.0)
+    stage_p = [c.p for c in sol.cycles]
+    assert sol.converged and stage_p.count(2.0) > 1
+    assert len(calls) == 1 + stage_p.count(3.0)
 
 
 def test_anisotropic_levels_halve_the_strong_axis_only():
@@ -165,7 +166,8 @@ def test_cg_iterations_do_not_grow_with_nu():
     for nu in (1.0, 2.0, 4.0, 8.0):
         sol = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=128, n_phi=128))
         assert sol.converged
-        assert max(sol.cg_history) <= 5, (nu, sol.cg_history)
+        cg = [c.cg for c in sol.cycles]
+        assert max(cg) <= 5, (nu, cg)
 
 
 @pytest.mark.parametrize("kw", [
