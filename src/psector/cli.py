@@ -153,7 +153,7 @@ def cmd_profile(args, cfg: CliConfig) -> int:
 
 
 def cmd_measure(args, cfg: CliConfig) -> int:
-    from .experiments import MC_WALKS, mc_agreement, require_mc_applicable
+    from .experiments import MC_WALKS, measure_report, require_mc_applicable
 
     problem = measure.MeasureProblem(
         nu=args.nu, p=args.p, R=args.R, n_r=cfg.n_r, n_phi=cfg.n_phi,
@@ -166,27 +166,25 @@ def cmd_measure(args, cfg: CliConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = f"measure_{args.nu:g}_{args.p:g}" + ("_inner" if args.inner_arc else "")
     sol = measure.solve_measure(problem)
-    k = radial_exponent(args.nu, args.p)
-    fit = measure.fit_slope(sol)
-    lo, hi = measure.comparability_constants(sol, k, measure.REGION_S2NU)
+    rep = measure_report(sol, mc_check=args.mc_check, seed=cfg.seed)
+    fit, cert, *mc_rows = rep.rows
     extra = {
-        "k": k,
-        "slope": fit.exponent,
-        "slope_window": list(fit.r_window),
-        "slope_rms": fit.rms,
-        "ratio_min": lo,
-        "ratio_max": hi,
+        "k": fit["k"],
+        "slope": fit["fitted"],
+        "slope_window": [w * problem.R for w in measure.SLOPE_WINDOW],
+        "slope_rms": fit["fit_rms"],
+        "ratio_min": cert["ratio_min"],
+        "ratio_max": cert["ratio_max"],
     }
     if args.mc_check:
-        rows, ok = mc_agreement(sol, MC_WALKS, cfg.seed)
-        extra.update(mc_agreement=rows, mc_within_3_sigma=ok, mc_seed=cfg.seed,
-                     mc_walks=MC_WALKS)
+        extra.update(mc_agreement=mc_rows, mc_within_3_sigma=rep.criteria[-1]["passed"],
+                     mc_seed=cfg.seed, mc_walks=MC_WALKS)
     sol.to_csv(os.path.join(cfg.out_dir, stem + ".csv"))
     measure.write_summary_json(sol, os.path.join(cfg.out_dir, stem + ".json"), extra)
-    print(f"k = {_fmt(k)}")
-    print(f"slope = {_fmt(fit.exponent)}")
-    print(f"ratio_min = {_fmt(lo)}")
-    print(f"ratio_max = {_fmt(hi)}")
+    mark = "" if sol.converged else " (unconverged field)"
+    print(f"k = {_fmt(fit['k'])}")
+    for key in ("slope", "ratio_min", "ratio_max"):
+        print(f"{key} = {_fmt(extra[key])}{mark}")
     print(f"converged = {sol.converged}")
     print(f"wrote {os.path.join(cfg.out_dir, stem + '.csv')}")
     if not sol.converged:

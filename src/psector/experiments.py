@@ -203,30 +203,24 @@ def mc_agreement(sol: MeasureSolution, n_walks: int = MC_WALKS, seed: int = 0):
     return rows, all(row["deviation_sigma"] <= 3.0 for row in rows)
 
 
-def run_measure_experiment(nu: float, p: float, n_r: int = MeasureProblem.n_r,
-                           n_phi: int = MeasureProblem.n_phi, slope_tol: float = 0.10,
-                           mc_check: bool = False, seed: int = 0,
-                           n_walks: int = MC_WALKS) -> ExperimentReport:
-    """Solve the measure, fit the radial decay on SLOPE_WINDOW, extract the
-    comparability certificate; optionally cross-check against walk-on-spheres
-    at p = 2."""
-    problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
+def measure_report(sol: MeasureSolution, slope_tol: float = 0.10, mc_check: bool = False,
+                   seed: int = 0, n_walks: int = MC_WALKS) -> ExperimentReport:
+    """The measure report of a solved field.  Rows, in order: the decay fitted
+    on SLOPE_WINDOW against k, the comparability certificate on S_2nu and, with
+    mc_check, one walk-on-spheres row per probe at p = 2, whose criterion is last."""
+    pr = sol.problem
     rep = ExperimentReport(
         "measure",
-        {"nu": nu, "p": p, "n_r": n_r, "n_phi": n_phi, "eps_reg": problem.eps_reg,
+        {"nu": pr.nu, "p": pr.p, "n_r": pr.n_r, "n_phi": pr.n_phi, "eps_reg": pr.eps_reg,
          "slope_tol": slope_tol, "r_window": list(SLOPE_WINDOW)},
-        provenance={"seed": seed, "tolerance": problem.tol},
+        provenance={"seed": seed, "tolerance": pr.tol},
     )
-    require_slope_window(problem)
-    if mc_check:
-        require_mc_applicable(problem)
-    sol = solve_measure(problem)
     rep.check("solver converged", sol.converged,
               f"iterations {sol.iterations}, final residual {sol.final_residual:.2e}")
-    k = radial_exponent(nu, p)
+    k = radial_exponent(pr.nu, pr.p)
     fit = fit_slope(sol)
     rel = abs(fit.exponent - k) / k
-    rep.rows.append({"nu": nu, "p": p, "k": k, "fitted": fit.exponent,
+    rep.rows.append({"nu": pr.nu, "p": pr.p, "k": k, "fitted": fit.exponent,
                      "rel_err": rel, "fit_rms": fit.rms,
                      "iterations": sol.iterations})
     rep.check("fitted slope matches k", rel <= slope_tol,
@@ -235,7 +229,7 @@ def run_measure_experiment(nu: float, p: float, n_r: int = MeasureProblem.n_r,
     finite = math.isfinite(lo) and math.isfinite(hi) and lo > 0
     rep.check("comparability certificate finite on S_2nu", finite,
               f"ratio in [{lo:.4f}, {hi:.4f}]")
-    rep.rows.append({"nu": nu, "p": p, "k": k, "ratio_min": lo, "ratio_max": hi,
+    rep.rows.append({"nu": pr.nu, "p": pr.p, "k": k, "ratio_min": lo, "ratio_max": hi,
                      "certificate": hi / lo})
     if mc_check:
         rows, ok = mc_agreement(sol, n_walks, seed)
@@ -244,9 +238,22 @@ def run_measure_experiment(nu: float, p: float, n_r: int = MeasureProblem.n_r,
     return rep
 
 
-def run_growth_bounds(nu: float, p: float, n_r: int = MeasureProblem.n_r,
-                      n_phi: int = MeasureProblem.n_phi) -> ExperimentReport:
-    """Certificates for the sub/superharmonic growth bounds near the apex.
+def run_measure_experiment(nu: float, p: float, n_r: int = MeasureProblem.n_r,
+                           n_phi: int = MeasureProblem.n_phi, slope_tol: float = 0.10,
+                           mc_check: bool = False, seed: int = 0,
+                           n_walks: int = MC_WALKS) -> ExperimentReport:
+    """Solve the measure and return its measure_report; a grid too coarse
+    for the slope fit, and mc_check off p = 2, are refused before solving."""
+    problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
+    require_slope_window(problem)
+    if mc_check:
+        require_mc_applicable(problem)
+    return measure_report(solve_measure(problem), slope_tol, mc_check, seed, n_walks)
+
+
+def growth_bounds_report(full: MeasureSolution, inner: MeasureSolution) -> ExperimentReport:
+    """Certificates for the sub/superharmonic growth bounds near the apex,
+    from the full-arc and inner-arc solutions of one problem.
 
     The full-arc measure is the extremal comparison for the upper bound
     (valid on the whole sector); the inner-arc variant bounds superharmonic
@@ -254,36 +261,43 @@ def run_growth_bounds(nu: float, p: float, n_r: int = MeasureProblem.n_r,
     exponent fitted on SLOPE_WINDOW doubles as the cusp-rate observation and
     must match k within 15%.
     """
+    pr = full.problem
     slope_tol = 0.15
     rep = ExperimentReport(
         "growth_bounds",
-        {"nu": nu, "p": p, "n_r": n_r, "n_phi": n_phi,
+        {"nu": pr.nu, "p": pr.p, "n_r": pr.n_r, "n_phi": pr.n_phi,
          "slope_tol": slope_tol, "r_window": list(SLOPE_WINDOW)},
     )
-    problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
-    require_slope_window(problem)
-    k = radial_exponent(nu, p)
-    sol = solve_measure(problem)
-    rep.check("full-arc solve converged", sol.converged, f"iterations {sol.iterations}")
-    lo_u, hi_u = comparability_constants(sol, k, REGION_SNU)
+    k = radial_exponent(pr.nu, pr.p)
+    rep.check("full-arc solve converged", full.converged, f"iterations {full.iterations}")
+    lo_u, hi_u = comparability_constants(full, k, REGION_SNU)
     rep.check("upper growth certificate finite on S_nu",
               math.isfinite(hi_u) and hi_u > 0, f"sup ratio {hi_u:.4f}")
-    fit = fit_slope(sol)
+    fit = fit_slope(full)
     rel = abs(fit.exponent - k) / k
     rep.check("decay rate matches k", rel <= slope_tol,
               f"fitted {fit.exponent:.4f} vs k {k:.4f} ({100 * rel:.2f}%)")
-    rep.rows.append({"nu": nu, "p": p, "k": k, "fitted": fit.exponent,
+    rep.rows.append({"nu": pr.nu, "p": pr.p, "k": k, "fitted": fit.exponent,
                      "upper_ratio": hi_u})
 
-    bar = solve_measure(replace(problem, arc_target=INNER_ARC))
-    rep.check("inner-arc solve converged", bar.converged, f"iterations {bar.iterations}")
-    lo_b, hi_b = comparability_constants(bar, k, REGION_S2NU, r_window=(0.02, 0.5))
+    rep.check("inner-arc solve converged", inner.converged, f"iterations {inner.iterations}")
+    lo_b, hi_b = comparability_constants(inner, k, REGION_S2NU, r_window=(0.02, 0.5))
     rep.check("lower growth certificate positive on S_2nu up to R/2",
               lo_b > 0 and math.isfinite(hi_b),
               f"ratio in [{lo_b:.4f}, {hi_b:.4f}]")
-    rep.rows.append({"nu": nu, "p": p, "k": k, "inner_ratio_min": lo_b,
+    rep.rows.append({"nu": pr.nu, "p": pr.p, "k": k, "inner_ratio_min": lo_b,
                      "inner_ratio_max": hi_b})
     return rep
+
+
+def run_growth_bounds(nu: float, p: float, n_r: int = MeasureProblem.n_r,
+                      n_phi: int = MeasureProblem.n_phi) -> ExperimentReport:
+    """Solve the full-arc and inner-arc measures and return their
+    growth_bounds_report; a grid too coarse for the slope fit is refused unsolved."""
+    problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
+    require_slope_window(problem)
+    return growth_bounds_report(solve_measure(problem),
+                                solve_measure(replace(problem, arc_target=INNER_ARC)))
 
 
 def run_phragmen_check(nu: float, p: float) -> ExperimentReport:

@@ -533,11 +533,11 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int):
     c, s = math.cos(alpha), math.sin(alpha)
     two_pi = np.float32(2.0 * math.pi)
     rng = np.random.default_rng(seed)
-    out = []
-    for pt in points:
-        r0, phi0 = pt
+    out, points = [], list(points)
+    for r0, phi0 in points:  # all checked before the first walk
         if not (0 < r0 < R and abs(phi0) < alpha):
             raise DomainError(f"start point ({r0}, {phi0}) is not interior")
+    for r0, phi0 in points:
         x = np.full(n_walks, r0 * math.cos(phi0))
         y = np.full(n_walks, r0 * math.sin(phi0))
         hits = 0

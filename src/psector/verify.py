@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,12 +23,13 @@ from .experiments import (
     NU_GRID,
     P_GRID,
     ExperimentReport,
+    growth_bounds_report,
+    measure_report,
     run_exponent_table,
-    run_growth_bounds,
-    run_measure_experiment,
     run_phragmen_check,
     run_stream_consistency,
 )
+from .measure import INNER_ARC, MeasureProblem, solve_measure
 from .pde import polar_residual_report, separation_report
 from .profile import build_profile, phi_of_theta, theta_of_phi
 
@@ -149,19 +151,22 @@ MEASURE_CASES = [
 
 
 def measure_suite(quick: bool = False, seed: int = 0) -> list[ExperimentReport]:
+    """Measure reports of the cases and the (2, 3) growth bounds, one solve per problem."""
     cases = MEASURE_CASES
     grid = 256
     if quick:
         cases = [case for case in MEASURE_CASES if case[:2] in ((1.0, 2.0), (2.0, 3.0))]
         grid = 128
-    reports = []
+    reports, solved = [], {}
     for nu, p, tol in cases:
-        reports.append(run_measure_experiment(
-            nu, p, n_r=grid, n_phi=grid, slope_tol=tol,
-            mc_check=(p == 2.0 and nu in (1.0, 2.0)), seed=seed,
+        solved[nu, p] = sol = solve_measure(MeasureProblem(nu=nu, p=p, n_r=grid, n_phi=grid))
+        reports.append(measure_report(
+            sol, slope_tol=tol, mc_check=(p == 2.0 and nu in (1.0, 2.0)), seed=seed,
             n_walks=20000 if quick else 100000,
         ))
-    reports.append(run_growth_bounds(2.0, 3.0, n_r=grid, n_phi=grid))
+    full = solved[2.0, 3.0]
+    inner = solve_measure(replace(full.problem, arc_target=INNER_ARC))
+    reports.append(growth_bounds_report(full, inner))
     return reports
 
 

@@ -115,13 +115,19 @@ class TestMeasureCommand:
     def test_nonconvergence_exit_4(self, capsys, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("n_r = 32\nn_phi = 33\nmax_iter = 2\n")
-        code, _, err = run_cli(capsys, "measure", "--nu", "1", "--p", "3",
-                               "--config", str(cfg), "--out-dir", str(tmp_path))
+        code, out, err = run_cli(capsys, "measure", "--nu", "1", "--p", "3",
+                                 "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == 4
         # summary is still written, flagged unconverged
         data = json.loads((tmp_path / "measure_1_3.json").read_text())
         assert data["converged"] is False
         assert data["stop_reason"] == "max_iter"
+        # stdout marks the fit and the certificate; the JSON keeps their values
+        lines = out.splitlines()
+        assert lines[0] == "k = 1"
+        for line, key in zip(lines[1:4], ("slope", "ratio_min", "ratio_max")):
+            assert line == f"{key} = {data[key]:.10g} (unconverged field)"
+        assert "unconverged" not in "".join(lines[4:])
         assert "stopped on max_iter after 2 of 2 cycles" in err
         assert f"final residual {data['final_residual']:.2e}" in err
 
@@ -143,6 +149,11 @@ class TestMeasureCommand:
         data = json.loads((tmp_path / "measure_1_2.json").read_text())
         rep = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49, mc_check=True, seed=9)
         assert data["mc_agreement"] == [r for r in rep.rows if "mc" in r]
+        # the fit and the certificate are the report's, as exact floats
+        fit = next(r for r in rep.rows if "fitted" in r)
+        cert = next(r for r in rep.rows if "certificate" in r)
+        assert (data["slope"], data["slope_rms"], data["ratio_min"], data["ratio_max"]) == (
+            fit["fitted"], fit["fit_rms"], cert["ratio_min"], cert["ratio_max"])
         # the summary names the oracle run it compared against
         assert (data["mc_seed"], data["mc_walks"]) == (9, MC_WALKS)
 

@@ -92,6 +92,27 @@ class TestGrowthBounds:
         assert rep.passed, rep.first_failure()
 
 
+class TestMeasureSuite:
+    def test_each_problem_solved_once(self, monkeypatch):
+        solved = []
+
+        def solve_and_count(problem):
+            solved.append(problem)
+            return solve_measure(problem)
+
+        for module in (experiments, verify):
+            monkeypatch.setattr(module, "solve_measure", solve_and_count, raising=False)
+        reports = verify.measure_suite(quick=True)
+        assert len(solved) == len(set(solved)) == 3
+        monkeypatch.undo()
+        # the same reports as the drivers that solve their own problems
+        want = [run_measure_experiment(nu, p, n_r=128, n_phi=128, slope_tol=tol,
+                                       mc_check=p == 2.0, n_walks=20000)
+                for nu, p, tol in verify.MEASURE_CASES if (nu, p) in ((1.0, 2.0), (2.0, 3.0))]
+        want.append(run_growth_bounds(2.0, 3.0, n_r=128, n_phi=128))
+        assert [r.__dict__ for r in reports] == [r.__dict__ for r in want]
+
+
 class TestPhragmen:
     def test_sharpness_pairs(self):
         for nu, p in [(1.0, 2.0), (2.0, 3.0), (1.0, math.inf), (2.0, math.inf)]:

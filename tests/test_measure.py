@@ -585,6 +585,14 @@ class TestWalkOnSpheres:
         with pytest.raises(DomainError, match="nu must be >= 0.5, got nan"):
             mc_harmonic_measure(math.nan, 1.0, [(0.5, 0.0)], 100, seed=0)
 
+    def test_every_start_point_checked_before_walking(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked before every start point was checked")
+
+        monkeypatch.setattr(measure, "_side_distance", no_walk)
+        with pytest.raises(DomainError, match=r"start point \(1.5, 0.0\) is not interior"):
+            mc_harmonic_measure(1.0, 1.0, [(0.5, 0.0), (1.5, 0.0)], 100, seed=0)
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_walks": 0}, "n_walks must be >= 1, got 0"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
