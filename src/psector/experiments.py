@@ -229,8 +229,9 @@ def measure_report(sol: MeasureSolution, slope_tol: float = 0.10, mc_check: bool
     finite = math.isfinite(lo) and math.isfinite(hi) and lo > 0
     rep.check("comparability certificate finite on S_2nu", finite,
               f"ratio in [{lo:.4f}, {hi:.4f}]")
+    # a field that is 0 somewhere on S_2nu has no finite certificate
     rep.rows.append({"nu": pr.nu, "p": pr.p, "k": k, "ratio_min": lo, "ratio_max": hi,
-                     "certificate": hi / lo})
+                     "certificate": hi / lo if lo > 0 else math.inf})
     if mc_check:
         rows, ok = mc_agreement(sol, n_walks, seed)
         rep.rows.extend(rows)

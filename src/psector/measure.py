@@ -59,10 +59,12 @@ CAPPED_STOP = 5
 # the radial window of the slope fit, in fractions of R: away from the apex
 # truncation ring and from the arc's boundary layer
 SLOPE_WINDOW = (0.05, 0.4)
-# the walk-on-spheres oracle absorbs a walker within MC_SHELL * R of the
-# boundary and stops every walk after MC_MAX_STEPS steps
+# the walk-on-spheres oracle absorbs a walker within MC_SHELL of the boundary
+# in w = log(z / R), stops every walk after MC_MAX_STEPS steps, and takes the
+# exact half-disk exit up to a height of HALF_DISK_MAX radii
 MC_SHELL = 1e-5
 MC_MAX_STEPS = 100000
+HALF_DISK_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ def _boundary_data(problem: MeasureProblem, phi: np.ndarray) -> np.ndarray:
     return arc
 
 
-def _cell_energy(u, r, dphi, p, eps2):
+def _cell_energy(u, r, dphi, p, eps2, coefficients=True):
     """Energy E of u at exponent p and the edge coefficients frozen at u.
 
     Cell c lies between radii i, i + 1 and angles j, j + 1 and has area
@@ -247,7 +249,7 @@ def _cell_energy(u, r, dphi, p, eps2):
     An edge's coefficient is half the sum of A_c (g_c + eps2)^((p-2)/2) over
     its one or two cells, divided by its squared length, hr^2 or (r dphi)^2:
     the frozen operator (_multigrid.apply) is the gradient of E at u.
-    Returns (E, cE, cN) in the shapes hierarchy takes.
+    Returns (E, cE, cN) in the shapes hierarchy takes, or E without coefficients.
     """
     hr, ha = np.diff(r), r * dphi
     dr2 = (np.diff(u, axis=0) / hr[:, None]) ** 2
@@ -258,6 +260,8 @@ def _cell_energy(u, r, dphi, p, eps2):
     w = g ** (0.5 * (p - 2.0))
     g *= w
     energy = float(np.einsum("i,ij->", area, g)) / p
+    if not coefficients:
+        return energy
     del g  # not held through the coefficients or the solve
     w *= 0.5 * area[:, None]
     cE = np.zeros((len(r) - 1, u.shape[1]))
@@ -300,9 +304,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     the next cycle, so a mixing cycle costs one extra _cell_energy call.
 
     At p = 2 the coefficient (g + eps^2)^0 is exactly 1, so the frozen system
-    depends on the grid alone: the p = 2 stage builds its multigrid hierarchy
-    once and reuses it on every cycle.  Every other stage builds one per
-    cycle, dropping the last before the next build.
+    depends on the grid alone: the p = 2 stage assembles it and builds its
+    hierarchy once, and later cycles form only the energy.  Every other stage
+    builds one per cycle, dropping the last before the next build.
 
     final_residual is that residual at the returned field with the problem's
     p: the last check's, evaluated once more if the solve stops in an earlier
@@ -339,7 +343,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             cols = head = 0
         carried = levels = None
         for it in itertools.count():
-            if carried is None:
+            if levels is not None:  # p = 2: the kept finest level's (cE, cN)
+                carried = (_cell_energy(u, r, dphi, p_stage, eps2, False),) + levels[0][:2]
+            elif carried is None:
                 carried = _cell_energy(u, r, dphi, p_stage, eps2)
             res, resid = _multigrid.residual(*carried[1:], u)
             if resid <= tol:
@@ -489,40 +495,52 @@ def comparability_constants(solution: MeasureSolution, k: float,
     return float(ratio.min()), float(ratio.max())
 
 
-def _side_distance(x, y, r, c, s):
-    """Distance from interior points (x, y), |(x, y)| = r, to the nearer of
-    the two side rays at angles +-alpha, given c = cos(alpha), s = sin(alpha).
+def _circle_point(s):
+    """(s^2 - 1, 2 s) / (s^2 + 1), the point at angle pi - 2 arctan s on the
+    unit circle: uniform on it for s = tan(pi (U - 1/2)), U uniform."""
+    s2 = s * s
+    den = s2 + np.float32(1.0)
+    return (s2 - np.float32(1.0)) / den, (s + s) / den
 
-    The sector is symmetric about the x axis, and the nearer side is the one
-    on the point's own side of it, so the point is reflected to y >= 0 and
-    measured against the +alpha ray only.  A point whose projection onto that
-    ray's direction is negative is nearest to it at the apex, at distance r;
-    where the projection is nonnegative the angular gap alpha - phi is at most
-    pi / 2, so the cross product r sin(alpha - phi) needs no abs."""
-    y = np.abs(y)
-    return np.where(x * c + y * s >= 0.0, x * s - y * c, r)
+
+def _half_disk_exit(a, tau):
+    """s with _circle_point(s) where a Brownian path from i a (0 <= a < 1)
+    leaves the unit upper half-disk, given tau = tan(pi (U - 1/2)), U uniform.
+
+    ((1 + z)/(1 - z))^2 maps the half-disk onto the upper half-plane, the
+    diameter onto the positive and the semicircle onto the negative reals,
+    and i a onto e^(i beta), beta = 4 arctan a, so the exit point is the
+    Cauchy t = cos beta + tau sin beta, rational in a.  t >= 0, chance
+    1 - beta / pi, is an exit through the diameter: s = 0, its end (-1, 0).
+    Otherwise s = sqrt(-t) = cot(theta / 2) at the exit point e^(i theta).
+    """
+    b = a * a
+    c = np.float32(1.0) - b
+    t = c * c - np.float32(4.0) * b + np.float32(4.0) * a * c * tau
+    return np.sqrt(np.maximum(-t, np.float32(0.0))) / (np.float32(1.0) + b)
 
 
 def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int):
     """Walk-on-spheres estimate of harmonic (p = 2) measure of the arc.
 
-    For each interior start point (r, phi), n_walks Brownian paths are
-    simulated by jumping to a uniform point on the largest centered disk
-    inside the domain, absorbing within a MC_SHELL * R boundary layer; a
-    walk still live after MC_MAX_STEPS steps counts as no hit.
-    Returns a list of (estimate, stderr); stderr is the binomial standard
-    error.  Deterministic for a fixed seed >= 0.
-
-    Only the live walkers are kept: each step drops the absorbed ones by one
-    order-preserving compaction and counts the arc hits among them, so the
-    step's uniform angles, one per live walker, reach the same walkers in the
-    same order as when every walker keeps its slot; the random stream, and
-    hence the estimate, does not depend on the compaction.  The step angles
-    are drawn and evaluated in float32, which costs a tenth of the float64
-    draw, cos and sin: each component of the step direction is within 7.2e-8
-    of the float64 cos and sin of the same angle, and the step length within
-    6e-8 of d (worst over 1e7 draws).  Positions, distances and the
-    absorption test stay float64.
+    From each interior start point (r, phi), n_walks Brownian paths walk in
+    w = log(z / R) = u + i v, a conformal map of the sector in B(0, R) onto
+    the half-strip u < 0, |v| < alpha = pi / (2 nu) that takes the arc to
+    u = 0 and the sides to v = +-alpha; Brownian motion is conformally
+    invariant, so the chance of leaving through the arc is the same.  The
+    walk is folded to v >= 0.  Each step stands a half-disk on the nearer
+    line at the walker's foot, radius rho = min(max(d_arc, d_side), 2 alpha),
+    the walker at height h = min(d_arc, d_side), a = h / rho.  Up to a =
+    HALF_DISK_MAX it samples the exact half-disk exit (_half_disk_exit): a
+    path leaving through the diameter is absorbed, a hit exactly when that
+    line is the arc.  Above, it is a disk step of radius h in the direction
+    _circle_point of the same Cauchy draw.  A walker within MC_SHELL of a
+    line in w is absorbed (near the arc the z-shell MC_SHELL * R, near a side
+    a narrower one); one still live after MC_MAX_STEPS steps counts as no
+    hit.  Positions are float32, as is each step's uniform: u <= 0 and
+    0 <= v <= alpha, so the shell is at least 40 ulp wide.  Every start point
+    is checked before the first walk.  Returns a list of (estimate, binomial
+    stderr), deterministic for a fixed seed >= 0.
     """
     nu = _as_nu(nu)
     if n_walks < 1:
@@ -530,32 +548,43 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int):
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     alpha = math.pi / (2.0 * nu)
-    c, s = math.cos(alpha), math.sin(alpha)
-    two_pi = np.float32(2.0 * math.pi)
-    rng = np.random.default_rng(seed)
-    out, points = [], list(points)
+    points = list(points)
     for r0, phi0 in points:  # all checked before the first walk
         if not (0 < r0 < R and abs(phi0) < alpha):
             raise DomainError(f"start point ({r0}, {phi0}) is not interior")
+    one, shell, alpha = np.float32(1.0), np.float32(MC_SHELL), np.float32(alpha)
+    pi, half_pi = np.float32(math.pi), np.float32(0.5 * math.pi)
+    rng = np.random.default_rng(seed)
+    out = []
     for r0, phi0 in points:
-        x = np.full(n_walks, r0 * math.cos(phi0))
-        y = np.full(n_walks, r0 * math.sin(phi0))
+        u = np.full(n_walks, math.log(r0 / R), np.float32)
+        v = np.full(n_walks, abs(phi0), np.float32)
         hits = 0
         for _ in range(MC_MAX_STEPS):
-            r = np.sqrt(x * x + y * y)
-            d_arc = R - r
-            d_side = _side_distance(x, y, r, c, s)
-            d = np.minimum(d_arc, d_side)
-            done = d < MC_SHELL * R
+            d_arc, d_side = -u, alpha - v
+            h = np.minimum(d_arc, d_side)
+            on_arc = d_arc <= d_side
+            done = h < shell
             if done.any():
-                hits += int(np.count_nonzero(d_arc[done] <= d_side[done]))
-                live = ~done
-                x, y, d = x[live], y[live], d[live]
-            if x.size == 0:
+                hits += int(np.count_nonzero(done & on_arc))
+                keep = np.flatnonzero(~done)  # compacts in order
+                u, v, d_arc, d_side, h, on_arc = (
+                    x.take(keep) for x in (u, v, d_arc, d_side, h, on_arc))
+            if u.size == 0:
                 break
-            ang = rng.random(x.size, dtype=np.float32) * two_pi
-            x += d * np.cos(ang)
-            y += d * np.sin(ang)
+            tau = np.tan(rng.random(u.size, dtype=np.float32) * pi - half_pi)
+            rho = np.minimum(np.maximum(d_arc, d_side), alpha + alpha)
+            a = h / rho
+            # each step's kind and line are chosen by 0/1 factors, which
+            # select exactly and cost less than np.where on a mixed mask
+            disk = (a > HALF_DISK_MAX).astype(np.float32)
+            half, lift = one - disk, disk * h
+            x, y = _circle_point(disk * tau + half * _half_disk_exit(a, tau))
+            scale = half * rho + lift
+            x, y = x * scale, y * scale + lift  # along the line, above it
+            arc = on_arc.astype(np.float32)
+            side = one - arc
+            u, v = side * (u + x) - arc * y, np.abs(arc * (v + x) + side * (alpha - y))
         est = hits / n_walks
         stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / n_walks)
         out.append((est, stderr))

@@ -39,6 +39,17 @@ class TestMeasureExperiment:
         rep = run_measure_experiment(1.0, 2.0, n_r=96, n_phi=97, slope_tol=0.05)
         assert rep.passed, rep.first_failure()
 
+    def test_zero_ratio_fails_the_certificate(self, tmp_path):
+        # the nu = 8 field is exactly 0 in some cells of S_2nu at 64^2, so
+        # ratio_min is 0: the certificate is infinite, its criterion is the
+        # first that fails, and the JSON holds null for it
+        rep = run_measure_experiment(8.0, 2.0, n_r=64, n_phi=64)
+        assert rep.first_failure()["name"] == "comparability certificate finite on S_2nu"
+        cert = rep.rows[1]
+        assert cert["ratio_min"] == 0.0 and cert["certificate"] == math.inf
+        rep.write_json(tmp_path / "r.json")
+        assert json.loads((tmp_path / "r.json").read_text())["rows"][1]["certificate"] is None
+
     def test_mc_block(self):
         rep = run_measure_experiment(1.0, 2.0, n_r=96, n_phi=97, slope_tol=0.05,
                                      mc_check=True, seed=5, n_walks=20000)

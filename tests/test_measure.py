@@ -19,8 +19,9 @@ from psector.measure import (
     MeasureProblem,
     MeasureSolution,
     _cell_energy,
+    _circle_point,
     _grids,
-    _side_distance,
+    _half_disk_exit,
     comparability_constants,
     fit_slope,
     mc_harmonic_measure,
@@ -188,6 +189,20 @@ class TestSolveMeasure:
             assert first > 0 and set(stage_p[:first]) == {2.0}
             assert energy[:first] == lin_energy[:first]
             assert energy[first] != lin_energy[first]
+
+    def test_p2_coefficients_assembled_once(self, monkeypatch):
+        # at p = 2 the frozen coefficients do not depend on the field: the
+        # first cycle assembles them, and every later check forms the energy
+        calls = []
+
+        def counted(*args):
+            calls.append(args[5] if len(args) > 5 else True)
+            return _cell_energy(*args)
+
+        monkeypatch.setattr(measure, "_cell_energy", counted)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=48, n_phi=48))
+        assert sol.converged and sol.iterations > 1
+        assert calls == [True] + [False] * sol.iterations
 
     @pytest.mark.parametrize("nu, p", [case[:2] for case in MEASURE_CASES] + [(1.0, 1.1)])
     def test_final_stage_energy_never_rises(self, nu, p):
@@ -589,7 +604,7 @@ class TestWalkOnSpheres:
         def no_walk(*args):
             raise AssertionError("walked before every start point was checked")
 
-        monkeypatch.setattr(measure, "_side_distance", no_walk)
+        monkeypatch.setattr(measure, "_half_disk_exit", no_walk)
         with pytest.raises(DomainError, match=r"start point \(1.5, 0.0\) is not interior"):
             mc_harmonic_measure(1.0, 1.0, [(0.5, 0.0), (1.5, 0.0)], 100, seed=0)
 
@@ -604,9 +619,9 @@ class TestWalkOnSpheres:
 
     @pytest.mark.parametrize("nu", ORACLE_NUS)
     def test_matches_reference_oracle(self, nu):
-        # the oracle's float32 step angles give it a different random stream
-        # from reference_mc's, so the two agree in distribution only: every
-        # probe within 4.5 pooled standard errors
+        # the oracle walks in log(z / R) with half-disk steps, so its random
+        # stream is not reference_mc's and the two agree in distribution
+        # only: every probe within 4.5 pooled standard errors
         assert max(abs(z) for z in oracle_z(nu)) <= 4.5
 
     def test_reference_oracle_chi_square(self):
@@ -614,17 +629,48 @@ class TestWalkOnSpheres:
         # squares within the 0.999 quantile of chi^2 with 72 degrees of freedom
         assert sum(z * z for nu in ORACLE_NUS for z in oracle_z(nu)) <= 114.8
 
-    @pytest.mark.parametrize("nu", [0.5, 0.55, 0.6, 0.75, 1.0, 2.0, 5.0])
-    def test_side_distance_matches_reference(self, nu):
+    def test_half_disk_exit(self):
+        # from height a = 0.3 a path leaves the unit half-disk through its
+        # diameter with probability 1 - (4/pi) arctan 0.3: the share within
+        # 4.5 binomial standard errors; every other exit on the unit
+        # semicircle to 1e-6
+        n, a = 200000, 0.3
+        u = np.random.default_rng(3).random(n, dtype=np.float32)
+        tau = np.tan(u * np.float32(math.pi) - np.float32(0.5 * math.pi))
+        x, y = _circle_point(_half_disk_exit(np.full(n, a, np.float32), tau))
+        want = 1.0 - 4.0 / math.pi * math.atan(a)
+        share = np.count_nonzero(y == 0.0) / n
+        assert abs(share - want) <= 4.5 * math.sqrt(want * (1.0 - want) / n)
+        out = y != 0.0
+        assert np.all(y[out] > 0.0)
+        assert np.max(np.abs(np.hypot(x[out], y[out]) - 1.0)) <= 1e-6
+
+    def test_exact_series_near_the_boundary(self):
+        # probes at 0.95 alpha, next to a side, at r = 0.98, next to the arc,
+        # and at r = 0.02, where the half-disks on the sides reach across the
+        # sector for nu >= 1; two seeds of 20 000 walks each: the 48 z against
+        # the exact series, sum of squares within the 0.999 quantile of chi^2
+        # with 48 degrees of freedom (84.04)
+        n_walks, chi2 = 20000, 0.0
+        for nu in ORACLE_NUS:
+            alpha = math.pi / (2.0 * nu)
+            pts = [(0.5, 0.95 * alpha), (0.98, 0.0), (0.98, -0.95 * alpha), (0.02, 0.0)]
+            for seed in (2, 5):
+                for (r0, f0), (est, _) in zip(pts, mc_harmonic_measure(nu, 1.0, pts, n_walks, seed)):
+                    want = exact_half_disk(r0, f0, nu)
+                    chi2 += (est - want) ** 2 / (want * (1.0 - want) / n_walks)
+        assert chi2 <= 84.04
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 5.0])
+    def test_estimates_do_not_depend_on_R(self, nu):
+        # the walk runs in log(z / R), so probes scaled with R walk the same
+        # float32 paths: equal estimates, not merely close ones
         alpha = math.pi / (2.0 * nu)
-        rng = np.random.default_rng(int(100 * nu))
-        r = rng.uniform(1e-4, 1.0, 10000)
-        ang = rng.uniform(-alpha, alpha, 10000)
-        x, y = r * np.cos(ang), r * np.sin(ang)
-        _, _, want = reference_sector_distance(x, y, alpha, 1.0)
-        got = _side_distance(x, y, np.sqrt(x * x + y * y),
-                             math.cos(alpha), math.sin(alpha))
-        assert np.max(np.abs(got - want)) <= 1e-12
+        fracs = [(0.3, 0.0), (0.45, alpha / 3.0), (0.6, -0.9 * alpha)]
+        at_1 = mc_harmonic_measure(nu, 1.0, fracs, 5000, seed=8)
+        at_r = mc_harmonic_measure(nu, 2.5, [(2.5 * f, ph) for f, ph in fracs], 5000, seed=8)
+        assert at_r == at_1
+
 
 class TestFieldCsv:
     @pytest.mark.parametrize("problem", [
