@@ -185,6 +185,8 @@ def cmd_measure(args, cfg: CliConfig) -> int:
     print(f"k = {_fmt(fit['k'])}")
     for key in ("slope", "ratio_min", "ratio_max"):
         print(f"{key} = {_fmt(extra[key])}{mark}")
+    if args.mc_check:
+        print(f"mc_within_3_sigma = {extra['mc_within_3_sigma']}{mark}")
     print(f"converged = {sol.converged}")
     print(f"wrote {os.path.join(cfg.out_dir, stem + '.csv')}")
     if not sol.converged:

@@ -211,7 +211,6 @@ class MeasureSolution:
 class SlopeFit:
     exponent: float
     rms: float
-    r_window: tuple
 
 
 def _grids(problem: MeasureProblem):
@@ -297,16 +296,18 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     consecutive capped CG solves ("cg_capped"), or after max_iter cycles in
     all ("max_iter").  Non-convergence is reported, not raised.
 
-    A p < 2 stage mixes each cycle's clipped Picard result g with the last
-    ANDERSON_DEPTH differences (_anderson_mix) and takes the mixed iterate
-    only if its energy is at most g's; otherwise it takes g and restarts the
-    history.  The taken iterate's energy and frozen coefficients carry into
-    the next cycle, so a mixing cycle costs one extra _cell_energy call.
+    Each stage forms the frozen system (energy, cE, cN) at its first iterate,
+    and each cycle forms it again at the iterate it ends on, for the next
+    cycle's check.  A p < 2 stage mixes each cycle's clipped Picard result g
+    with the last ANDERSON_DEPTH differences (_anderson_mix) and takes the
+    mixed iterate only if its energy is at most g's; otherwise it takes g and
+    restarts the history.  The mixing test forms the system of both
+    candidates, so a mixing cycle costs one extra _cell_energy call.
 
     At p = 2 the coefficient (g + eps^2)^0 is exactly 1, so the frozen system
-    depends on the grid alone: the p = 2 stage assembles it and builds its
-    hierarchy once, and later cycles form only the energy.  Every other stage
-    builds one per cycle, dropping the last before the next build.
+    depends on the grid alone: the p = 2 stage builds its hierarchy once and
+    keeps it, and later cycles form only the energy.  Every other stage hands
+    pcg a hierarchy of the cycle's system that is freed when pcg returns.
 
     final_residual is that residual at the returned field with the problem's
     p: the last check's, evaluated once more if the solve stops in an earlier
@@ -324,15 +325,20 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
 
     eps2 = pr.eps_reg**2
     cycles = []
-
-    def picard(p_stage: float, tol: float):
-        """Lagged-diffusivity cycles at one exponent; updates u.  Returns the
-        last residual check's value and the stop reason."""
-        nonlocal u
+    # continuation in p from the linear case, stepping by at most 1, so the
+    # strongly nonlinear stages start from a nearby solution and the
+    # coefficient spikes of a cold p > 2 start never form
+    stages = [2.0]
+    if pr.p != 2.0:
+        stages += [float(q) for q in range(3, math.ceil(pr.p - 1e-12))] + [pr.p]
+    for stage in stages:
+        # the last stage's step, frozen system and levels are dropped before
+        # this stage assembles its own
+        du_prev = state = levels = res = uold = du = None
+        tol = pr.tol if stage == pr.p else max(100.0 * pr.tol, 1e-7)
         tau = 1.0
-        du_prev = None
         capped_run = 0
-        mixing = p_stage < 2.0 and ANDERSON_DEPTH > 0
+        mixing = stage < 2.0 and ANDERSON_DEPTH > 0
         if mixing:
             # Anderson history: column k holds f (and g) of a cycle minus
             # that of the cycle before, where g is the clipped Picard result
@@ -341,29 +347,27 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             dF = np.empty((ANDERSON_DEPTH,) + u.shape)
             dG = np.empty_like(dF)
             cols = head = 0
-        carried = levels = None
+        # the frozen system (energy, cE, cN) at the current iterate
+        state = _cell_energy(u, r, dphi, stage, eps2)
         for it in itertools.count():
-            if levels is not None:  # p = 2: the kept finest level's (cE, cN)
-                carried = (_cell_energy(u, r, dphi, p_stage, eps2, False),) + levels[0][:2]
-            elif carried is None:
-                carried = _cell_energy(u, r, dphi, p_stage, eps2)
-            res, resid = _multigrid.residual(*carried[1:], u)
+            res, resid = _multigrid.residual(*state[1:], u)
+            stop = None
             if resid <= tol:
-                return resid, "converged"
-            if capped_run == CAPPED_STOP:
-                return resid, "cg_capped"
-            if len(cycles) == pr.max_iter:
-                return resid, "max_iter"
-            energy = carried[0]
-            if levels is None:
-                levels = _multigrid.hierarchy(*carried[1:])
-            carried = None
+                stop = "converged"
+            elif capped_run == CAPPED_STOP:
+                stop = "cg_capped"
+            elif len(cycles) == pr.max_iter:
+                stop = "max_iter"
+            if stop:
+                break
+            energy = state[0]
+            if stage == 2.0 and levels is None:
+                levels = _multigrid.hierarchy(*state[1:])
             uold = u.copy()
-            cg = _multigrid.pcg(u, levels, CG_RTOL, res)
-            if p_stage != 2.0:
-                # the next cycle builds its own levels; holding these while
-                # it does would keep two sets of packed coefficients alive
-                levels = None
+            # the p = 2 stage keeps its levels; any other stage's are freed
+            # when pcg returns, and their finest cE and cN with state
+            cg = _multigrid.pcg(u, levels or _multigrid.hierarchy(*state[1:]), CG_RTOL, res)
+            del state
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
             taken = None
@@ -378,18 +382,18 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                     # taken only if it does not raise the energy above g's
                     mixed = _anderson_mix(g, du, dF[:cols], dG[:cols])
                     np.clip(mixed, 0.0, 1.0, out=mixed)
-                    trial = _cell_energy(mixed, r, dphi, p_stage, eps2)
-                    carried = _cell_energy(g, r, dphi, p_stage, eps2)
-                    taken = trial[0] <= carried[0]
+                    trial = _cell_energy(mixed, r, dphi, stage, eps2)
+                    state = _cell_energy(g, r, dphi, stage, eps2)
+                    taken = trial[0] <= state[0]
                     if taken:
-                        u, carried = mixed, trial
+                        u, state = mixed, trial
                     else:
                         cols = head = 0
                     del mixed, trial
                 np.negative(du, out=dF[head])
                 np.negative(g, out=dG[head])
                 del g, du  # not held through the next cycle's solve
-            elif p_stage > 2.0:
+            elif stage > 2.0:
                 # damp the Picard step where it flips with period 2 (the
                 # update direction reverses)
                 flip = 0.0
@@ -403,18 +407,12 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 if tau < 1.0:
                     u = uold + tau * du
                 du_prev = du
-            cycles.append(Cycle(p_stage, energy, cg, taken))
+            cycles.append(Cycle(stage, energy, cg, taken))
             capped_run = capped_run + 1 if cg >= _multigrid.MAX_CG else 0
-
-    # continuation in p from the linear case, stepping by at most 1, so the
-    # strongly nonlinear stages start from a nearby solution and the
-    # coefficient spikes of a cold p > 2 start never form
-    stages = [2.0]
-    if pr.p != 2.0:
-        stages += [float(q) for q in range(3, math.ceil(pr.p - 1e-12))] + [pr.p]
-    for stage in stages:
-        tol = pr.tol if stage == pr.p else max(100.0 * pr.tol, 1e-7)
-        resid, stop = picard(stage, tol)
+            if stage == 2.0:  # the coefficients are the kept finest level's
+                state = (_cell_energy(u, r, dphi, stage, eps2, False),) + levels[0][:2]
+            elif taken is None:  # else the mixing test formed it
+                state = _cell_energy(u, r, dphi, stage, eps2)
         if stop != "converged":
             break
     if stage != pr.p:
@@ -449,11 +447,10 @@ def require_slope_window(problem: MeasureProblem) -> None:
 def fit_slope(solution: MeasureSolution) -> SlopeFit:
     """Least-squares slope of log omega against log r along the axis phi = 0,
     over the radii in SLOPE_WINDOW where omega is positive; there must be at
-    least 8.  The returned fit's r_window is in units of r.
+    least 8.
     """
-    R = solution.problem.R
     vals = solution.ray_values(0.0)
-    m = _window(solution.r, R, SLOPE_WINDOW) & (vals > 0.0)
+    m = _window(solution.r, solution.problem.R, SLOPE_WINDOW) & (vals > 0.0)
     if int(m.sum()) < 8:
         raise DomainError("slope window must contain at least 8 usable radii")
     x = np.log(solution.r[m])
@@ -461,11 +458,7 @@ def fit_slope(solution: MeasureSolution) -> SlopeFit:
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
-    return SlopeFit(
-        exponent=float(coef[0]),
-        rms=float(np.sqrt(np.mean(resid**2))),
-        r_window=(SLOPE_WINDOW[0] * R, SLOPE_WINDOW[1] * R),
-    )
+    return SlopeFit(exponent=float(coef[0]), rms=float(np.sqrt(np.mean(resid**2))))
 
 
 def comparability_constants(solution: MeasureSolution, k: float,

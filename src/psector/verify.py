@@ -20,6 +20,7 @@ from .exponent import (
     radial_exponent,
 )
 from .experiments import (
+    MC_WALKS,
     NU_GRID,
     P_GRID,
     ExperimentReport,
@@ -161,8 +162,8 @@ def measure_suite(quick: bool = False, seed: int = 0) -> list[ExperimentReport]:
     for nu, p, tol in cases:
         solved[nu, p] = sol = solve_measure(MeasureProblem(nu=nu, p=p, n_r=grid, n_phi=grid))
         reports.append(measure_report(
-            sol, slope_tol=tol, mc_check=(p == 2.0 and nu in (1.0, 2.0)), seed=seed,
-            n_walks=20000 if quick else 100000,
+            sol, slope_tol=tol, mc_check=(p == 2.0), seed=seed,
+            n_walks=20000 if quick else MC_WALKS,
         ))
     full = solved[2.0, 3.0]
     inner = solve_measure(replace(full.problem, arc_target=INNER_ARC))

@@ -134,12 +134,35 @@ class TestMeasureCommand:
     def test_mc_check_block(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text("n_r = 96\nn_phi = 97\nseed = 0\n")
-        code, _, _ = run_cli(capsys, "measure", "--nu", "1", "--p", "2",
-                             "--mc-check", "--config", str(cfg),
-                             "--out-dir", str(tmp_path))
+        code, out, _ = run_cli(capsys, "measure", "--nu", "1", "--p", "2",
+                               "--mc-check", "--config", str(cfg),
+                               "--out-dir", str(tmp_path))
         assert code == 0
         data = json.loads((tmp_path / "measure_1_2.json").read_text())
         assert data["mc_within_3_sigma"] is True
+        # the verdict is printed, not only written to the summary
+        assert "mc_within_3_sigma = True" in out.splitlines()
+
+    def test_mc_check_verdict_printed_when_it_fails(self, capsys, tmp_path):
+        # at nu = 8 the 64^2 field is 6.8 to 10.5 sigma off the oracle at
+        # three probes: stdout says so, and the exit code stays that of the solve
+        code, out, _ = run_cli(capsys, "measure", "--nu", "8", "--p", "2",
+                               "--n-r", "64", "--n-phi", "64", "--mc-check",
+                               "--out-dir", str(tmp_path))
+        assert code == 0
+        data = json.loads((tmp_path / "measure_8_2.json").read_text())
+        assert data["mc_within_3_sigma"] is False
+        assert "mc_within_3_sigma = False" in out.splitlines()
+
+    def test_mc_check_verdict_marks_an_unconverged_field(self, capsys, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("n_r = 32\nn_phi = 33\nmax_iter = 1\n")
+        code, out, _ = run_cli(capsys, "measure", "--nu", "1", "--p", "2", "--mc-check",
+                               "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 4
+        data = json.loads((tmp_path / "measure_1_2.json").read_text())
+        verdict = f"mc_within_3_sigma = {data['mc_within_3_sigma']} (unconverged field)"
+        assert verdict in out.splitlines()
 
     def test_mc_check_rows_match_experiment(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "measure", "--nu", "1", "--p", "2",

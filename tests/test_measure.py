@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +204,32 @@ class TestSolveMeasure:
         sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=48, n_phi=48))
         assert sol.converged and sol.iterations > 1
         assert calls == [True] + [False] * sol.iterations
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_each_cycle_releases_its_levels(self, monkeypatch, p):
+        # a p != 2 cycle's levels are freed when its CG solve returns, and the
+        # p = 2 stage's before the next stage starts: no p != 2 system is
+        # assembled while an earlier hierarchy's packed coefficients live
+        build, energy, refs, checked = _multigrid.hierarchy, _cell_energy, [], []
+
+        def recorded(cE, cN):
+            levels = build(cE, cN)
+            refs.append(weakref.ref(levels[0].system[0][0][5]))
+            return levels
+
+        def released(u, r, dphi, q, eps2, coefficients=True):
+            if q != 2.0:
+                assert all(ref() is None for ref in refs), [ref() is None for ref in refs]
+                checked.append(len(refs))
+            return energy(u, r, dphi, q, eps2, coefficients)
+
+        monkeypatch.setattr(_multigrid, "hierarchy", recorded)
+        monkeypatch.setattr(measure, "_cell_energy", released)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=p, n_r=48, n_phi=48))
+        assert sol.converged
+        # the first check follows the p = 2 stage's levels, and later checks
+        # follow at least one p != 2 cycle's
+        assert checked[0] == 1 and max(checked) == len(refs) > 2
 
     @pytest.mark.parametrize("nu, p", [case[:2] for case in MEASURE_CASES] + [(1.0, 1.1)])
     def test_final_stage_energy_never_rises(self, nu, p):
