@@ -1,4 +1,5 @@
-"""Multigrid-preconditioned conjugate gradients for a frozen 5-point system.
+"""Linear solves of a frozen 5-point system: multigrid-preconditioned
+conjugate gradients, and a direct solve for the separable case.
 
 The measure solver's Picard cycle freezes the edge coefficients of the
 p-Laplacian and solves the linear system they define on the interior nodes
@@ -7,11 +8,14 @@ of the grid, with Dirichlet data on rows and columns 0 and -1:
     sum over the four edges e of node x:  c_e (u[x] - u[neighbour_e]) = f[x].
 
 cE[i, j] couples nodes (i, j) and (i + 1, j), cN[i, j] nodes (i, j) and
-(i, j + 1).  hierarchy(cE, cN) builds the levels once per cycle and pcg(u,
-levels, rtol, r) solves in place, warm-started from u and its residual
-r = residual(cE, cN, u)[0].  Every level, its operator (apply) and its
-smoother (_kernels.sor_system) use this one edge layout; the finest level
-holds the caller's cE and cN, not copies.
+(i, j + 1).  Both solvers work in place from u and its residual
+r = residual(cE, cN, u)[0].  At p = 2 the coefficients are constant along
+phi and sine_solve(u, cE, cN, r) solves directly: a DST-I in phi, one
+tridiagonal solve in r per sine mode, and the inverse DST-I.  At p != 2
+hierarchy(cE, cN) builds the levels once per cycle and pcg(u, levels, rtol, r)
+solves, warm-started.  Every level, its operator (apply) and its smoother
+(_kernels.sor_system) use this one edge layout; the finest level holds the
+caller's cE and cN, not copies.
 
 Each coarser level halves an axis, keeping the even-index nodes and the last
 one, and stays a 5-point operator: along a coarsened axis two fine edges
@@ -248,3 +252,48 @@ def pcg(u, levels, rtol, r) -> int:
         p *= rz / rz_old
         p += z
     return MAX_CG
+
+
+def _dst(x):
+    """DST-I along the last axis, sum_j x_j sin(pi j k / (n + 1)) for
+    j, k = 1..n, as -Im of the real FFT of the odd extension (0, x, 0, -x
+    reversed), halved."""
+    m, n = x.shape
+    ext = np.zeros((m, 2 * n + 2))
+    ext[:, 1:n + 1] = x
+    ext[:, n + 2:] = -x[:, ::-1]
+    return -0.5 * np.fft.rfft(ext)[:, 1:n + 1].imag
+
+
+def sine_solve(u, cE, cN, r) -> None:
+    """Solve the system of cE and cN in place, u[1:-1, 1:-1] += A^-1 r, for
+    r = b - A u (as residual returns it; only its interior is read).
+
+    Direct solve of a separable system, for coefficients constant along phi
+    at the interior nodes: cE[:, 1:-1] and cN, as _cell_energy forms them at
+    p = 2 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)).  A DST-I
+    along phi diagonalizes the angular part, b_i (2 x_j - x_(j-1) - x_(j+1))
+    with b = cN[:, 0], into b_i lam_k x_k, lam_k = 2 - 2 cos(pi k / (n_phi - 1)).
+    Each sine mode k is then one tridiagonal system in r, diagonal
+    (a_(i-1) + a_i) + b_i lam_k and off-diagonals -a_i, a = cE[:, 1], solved
+    by a Thomas recurrence over all modes at once, and an inverse DST-I
+    returns the correction.  Rows and columns 0 and -1 of u stay unchanged.
+    """
+    n_r, n_phi = u.shape
+    a, b = cE[:, 1], cN[1:-1, 0]
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n_phi - 1) / (n_phi - 1))
+    diag = (a[:-1] + a[1:])[:, None] + b[:, None] * lam
+    y = _dst(r[1:-1, 1:-1])
+    # row i of diag and y is grid row i + 1, coupled to the row before by
+    # a[i].  Forward elimination: diag[i] becomes the pivot, y[i] the
+    # reduced right side
+    for i in range(1, n_r - 2):
+        g = a[i] / diag[i - 1]
+        diag[i] -= a[i] * g
+        y[i] += g * y[i - 1]
+    # back substitution
+    y[-1] /= diag[-1]
+    for i in range(n_r - 4, -1, -1):
+        y[i] += a[i + 1] * y[i + 1]
+        y[i] /= diag[i]
+    u[1:-1, 1:-1] += _dst(y) * (2.0 / (n_phi - 1))

@@ -7,10 +7,13 @@ a small truncation ring near the apex.  The energy is one cell quadrature
 (_cell_energy), and its gradient is the 5-point operator with the nonlinear
 coefficient (|grad u|^2 + eps^2)^((p-2)/2) frozen at u.  The iteration is
 lagged diffusivity (Kacanov): each cycle freezes the coefficient at the
-current iterate and solves the linear equation, warm-started, by conjugate
-gradients preconditioned with one geometric-multigrid V-cycle per step
-(_multigrid), to CG_RTOL times the cycle's starting residual.  For p <= 2 the
-frozen quadratic majorizes the energy, so no cycle raises it.
+current iterate and solves the linear equation.  At p = 2 the coefficient is
+1, the frozen system is the 5-point Laplacian of the log-polar grid, separable
+in r and phi, and one direct solve (_multigrid.sine_solve) converges the stage
+in one cycle.  At p != 2 the solve is warm-started conjugate gradients
+preconditioned with one geometric-multigrid V-cycle per step (_multigrid), to
+CG_RTOL times the cycle's starting residual.  For p <= 2 the frozen quadratic
+majorizes the energy, so no cycle raises it.
 Around the plain Picard loop: continuation in p from the linear problem
 (steps of at most 1, warm-started); in p > 2 stages, adaptive damping of the
 Picard step triggered by the one observed instability signature, period-2
@@ -18,10 +21,11 @@ update flips at data-jump nodes; in p < 2 stages, where plain Picard
 converges only linearly, Anderson mixing of the last ANDERSON_DEPTH steps,
 each mixed iterate taken only if its energy is at most that of the plain
 Picard result, so the energy still never rises.  A stage stops on the
-relative residual its cycle's CG solve starts from, or after CAPPED_STOP
+relative residual its cycle's linear solve starts from, or after CAPPED_STOP
 consecutive capped CG solves.  Each cycle appends one Cycle record: the stage
 p, the discrete energy of the stage being solved (its own p), the number of
-CG iterations and whether a mixed iterate was taken, as convergence diagnostics.
+CG iterations (0 for the direct p = 2 solve) and whether a mixed iterate was
+taken, as convergence diagnostics.
 
 mc_harmonic_measure is an independent walk-on-spheres Monte Carlo oracle for
 the p = 2 case.  fit_slope extracts the radial decay exponent from a solved
@@ -45,9 +49,9 @@ INNER_ARC = "inner_arc"
 REGION_S2NU = "S_2nu"
 REGION_SNU = "S_nu"
 
-# relative residual at which a Picard cycle's CG solve stops; on the six 256^2
-# acceptance cases 1e-3 took 84 Picard cycles instead of 87, with 36% more CG
-# iterations (271 against 199) and 3.3 s against 2.8 s
+# relative residual at which a p != 2 Picard cycle's CG solve stops; on the
+# six 256^2 acceptance cases 1e-3 took the same 73 Picard cycles, with 46%
+# more CG iterations (211 against 145) and 1.33 s against 1.11 s
 CG_RTOL = 1e-2
 # Anderson mixing depth of the p < 2 Picard stages, two fields per unit:
 # depths 1 to 5 took 14, 11, 10, 10 and 10 final-stage cycles on (1, 1.5) at
@@ -112,9 +116,9 @@ class MeasureProblem:
 
 class Cycle(NamedTuple):
     """One Picard cycle: its stage p, the energy of the field it starts from
-    at that p, the CG iterations of its inner solve, and whether it took the
-    Anderson-mixed iterate (None where none was tried: p >= 2 stages and the
-    first cycle of a p < 2 stage)."""
+    at that p, the CG iterations of its inner solve (0 at p = 2, whose solve
+    is direct), and whether it took the Anderson-mixed iterate (None where
+    none was tried: p >= 2 stages and the first cycle of a p < 2 stage)."""
 
     p: float
     energy: float
@@ -290,7 +294,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
 
     At the top of each Picard cycle a stage checks ||A(u) u - b||_2 / ||b||_2,
     A(u) frozen at the iterate with the stage's p and b from the Dirichlet
-    data: the residual the cycle's CG solve starts from (_multigrid.residual).
+    data: the residual the cycle's linear solve starts from (_multigrid.residual).
     It stops when that falls to problem.tol (final stage) or max(100 tol,
     1e-7) (earlier stages), stop_reason "converged", after CAPPED_STOP
     consecutive capped CG solves ("cg_capped"), or after max_iter cycles in
@@ -305,9 +309,13 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     candidates, so a mixing cycle costs one extra _cell_energy call.
 
     At p = 2 the coefficient (g + eps^2)^0 is exactly 1, so the frozen system
-    depends on the grid alone: the p = 2 stage builds its hierarchy once and
-    keeps it, and later cycles form only the energy.  Every other stage hands
-    pcg a hierarchy of the cycle's system that is freed when pcg returns.
+    depends on the grid alone and its edge coefficients are constant along
+    phi: the p = 2 stage solves it directly (_multigrid.sine_solve, a cycle
+    with cg = 0), which leaves a residual at the rounding floor, so at any
+    tol above that floor the stage converges in one cycle; the check after
+    it forms only the energy.  Every
+    other stage hands pcg a hierarchy of the cycle's system that is freed
+    when pcg returns.
 
     final_residual is that residual at the returned field with the problem's
     p: the last check's, evaluated once more if the solve stops in an earlier
@@ -332,9 +340,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     if pr.p != 2.0:
         stages += [float(q) for q in range(3, math.ceil(pr.p - 1e-12))] + [pr.p]
     for stage in stages:
-        # the last stage's step, frozen system and levels are dropped before
-        # this stage assembles its own
-        du_prev = state = levels = res = uold = du = None
+        # the last stage's step and frozen system are dropped before this
+        # stage assembles its own
+        du_prev = state = res = uold = du = None
         tol = pr.tol if stage == pr.p else max(100.0 * pr.tol, 1e-7)
         tau = 1.0
         capped_run = 0
@@ -361,13 +369,15 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             if stop:
                 break
             energy = state[0]
-            if stage == 2.0 and levels is None:
-                levels = _multigrid.hierarchy(*state[1:])
             uold = u.copy()
-            # the p = 2 stage keeps its levels; any other stage's are freed
-            # when pcg returns, and their finest cE and cN with state
-            cg = _multigrid.pcg(u, levels or _multigrid.hierarchy(*state[1:]), CG_RTOL, res)
-            del state
+            if stage == 2.0:
+                _multigrid.sine_solve(u, *state[1:], res)
+                cg = 0
+            else:
+                # the cycle's levels are freed when pcg returns, and their
+                # finest cE and cN with state
+                cg = _multigrid.pcg(u, _multigrid.hierarchy(*state[1:]), CG_RTOL, res)
+                del state
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
             taken = None
@@ -409,8 +419,8 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 du_prev = du
             cycles.append(Cycle(stage, energy, cg, taken))
             capped_run = capped_run + 1 if cg >= _multigrid.MAX_CG else 0
-            if stage == 2.0:  # the coefficients are the kept finest level's
-                state = (_cell_energy(u, r, dphi, stage, eps2, False),) + levels[0][:2]
+            if stage == 2.0:  # the coefficients depend on the grid alone
+                state = (_cell_energy(u, r, dphi, stage, eps2, False),) + state[1:]
             elif taken is None:  # else the mixing test formed it
                 state = _cell_energy(u, r, dphi, stage, eps2)
         if stop != "converged":

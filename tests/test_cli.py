@@ -144,8 +144,8 @@ class TestMeasureCommand:
         assert "mc_within_3_sigma = True" in out.splitlines()
 
     def test_mc_check_verdict_printed_when_it_fails(self, capsys, tmp_path):
-        # at nu = 8 the 64^2 field is 6.8 to 10.5 sigma off the oracle at
-        # three probes: stdout says so, and the exit code stays that of the solve
+        # at nu = 8 the 64^2 field is 4.5 to 11.4 sigma off the oracle at
+        # four probes: stdout says so, and the exit code stays that of the solve
         code, out, _ = run_cli(capsys, "measure", "--nu", "8", "--p", "2",
                                "--n-r", "64", "--n-phi", "64", "--mc-check",
                                "--out-dir", str(tmp_path))
@@ -155,8 +155,10 @@ class TestMeasureCommand:
         assert "mc_within_3_sigma = False" in out.splitlines()
 
     def test_mc_check_verdict_marks_an_unconverged_field(self, capsys, tmp_path):
+        # a p = 2 solve converges in one cycle: a tol below the rounding floor
+        # leaves it unconverged
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text("n_r = 32\nn_phi = 33\nmax_iter = 1\n")
+        cfg.write_text("n_r = 32\nn_phi = 33\nmax_iter = 1\ntol = 1e-20\n")
         code, out, _ = run_cli(capsys, "measure", "--nu", "1", "--p", "2", "--mc-check",
                                "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == 4

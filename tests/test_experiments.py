@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from psector import experiments, measure, verify
@@ -8,13 +9,14 @@ from psector.exponent import DomainError
 from psector.experiments import (
     ExperimentReport,
     mc_agreement,
+    measure_report,
     run_exponent_table,
     run_growth_bounds,
     run_measure_experiment,
     run_phragmen_check,
     run_stream_consistency,
 )
-from psector.measure import MeasureProblem, solve_measure
+from psector.measure import MeasureProblem, MeasureSolution, solve_measure
 
 
 class TestExponentTable:
@@ -40,15 +42,34 @@ class TestMeasureExperiment:
         assert rep.passed, rep.first_failure()
 
     def test_zero_ratio_fails_the_certificate(self, tmp_path):
-        # the nu = 8 field is exactly 0 in some cells of S_2nu at 64^2, so
-        # ratio_min is 0: the certificate is infinite, its criterion is the
+        # a converged-looking field of exact decay k = 8 that is 0 at one node
+        # of S_2nu inside the certificate's window but outside the slope's:
+        # ratio_min is 0, the certificate is infinite, its criterion is the
         # first that fails, and the JSON holds null for it
-        rep = run_measure_experiment(8.0, 2.0, n_r=64, n_phi=64)
+        pr = MeasureProblem(nu=8.0, p=2.0, n_r=64, n_phi=64)
+        r, phi = measure._grids(pr)
+        omega = np.repeat(r[:, None] ** 8.0, pr.n_phi, axis=1)
+        i = int(np.searchsorted(r, 0.6))
+        omega[i, pr.n_phi // 2] = 0.0
+        sol = MeasureSolution(pr, r, phi, omega, stop_reason="converged", final_residual=0.0)
+        rep = measure_report(sol)
         assert rep.first_failure()["name"] == "comparability certificate finite on S_2nu"
         cert = rep.rows[1]
         assert cert["ratio_min"] == 0.0 and cert["certificate"] == math.inf
         rep.write_json(tmp_path / "r.json")
         assert json.loads((tmp_path / "r.json").read_text())["rows"][1]["certificate"] is None
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_narrowest_sector_field_is_positive(self, n):
+        # at nu = 8 the field spans 1 to about (r/R)^8 = 1e-24; the p = 2
+        # stage's direct solve keeps it positive at every interior node, and
+        # the certificate on S_2nu finite: widths 2.95 and 1.70
+        sol = solve_measure(MeasureProblem(nu=8.0, p=2.0, n_r=n, n_phi=n))
+        assert sol.converged and np.all(sol.omega[1:-1, 1:-1] > 0.0)
+        rep = measure_report(sol)
+        cert = rep.rows[1]
+        assert 0.0 < cert["ratio_min"] and math.isfinite(cert["certificate"])
+        assert rep.passed, rep.first_failure()
 
     def test_mc_block(self):
         rep = run_measure_experiment(1.0, 2.0, n_r=96, n_phi=97, slope_tol=0.05,

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from psector import _multigrid
-from psector.measure import INNER_ARC, MeasureProblem, solve_measure
+from psector.measure import (
+    CG_RTOL,
+    FULL_ARC,
+    INNER_ARC,
+    MeasureProblem,
+    _boundary_data,
+    _cell_energy,
+    _grids,
+    solve_measure,
+)
 
 SHAPES = [(40, 40), (35, 37), (33, 48), (48, 33)]
 
@@ -30,6 +39,33 @@ def interior_noise(shape, rng):
     x = np.zeros(shape)
     x[1:-1, 1:-1] = rng.standard_normal((shape[0] - 2, shape[1] - 2))
     return x
+
+
+def p2_system(problem):
+    """cE and cN of the problem's frozen p = 2 system, and a field holding
+    its Dirichlet data with a zero interior."""
+    r, phi = _grids(problem)
+    u = np.zeros((problem.n_r, problem.n_phi))
+    u[-1] = _boundary_data(problem, phi)
+    _, cE, cN = _cell_energy(u, r, phi[1] - phi[0], 2.0, problem.eps_reg**2)
+    return cE, cN, u
+
+
+def dense_operator(cE, cN):
+    # A of the interior nodes, written out node by node; node (i, j) is
+    # unknown (i - 1) * (n_phi - 2) + j - 1
+    n_r, n_phi = cN.shape[0], cE.shape[1]
+    m = n_phi - 2
+    A = np.zeros(((n_r - 2) * m,) * 2)
+    for i in range(1, n_r - 1):
+        for j in range(1, n_phi - 1):
+            k = (i - 1) * m + j - 1
+            for c, ii, jj in ((cE[i - 1, j], i - 1, j), (cE[i, j], i + 1, j),
+                              (cN[i, j - 1], i, j - 1), (cN[i, j], i, j + 1)):
+                A[k, k] += c
+                if 0 < ii < n_r - 1 and 0 < jj < n_phi - 1:
+                    A[k, (ii - 1) * m + jj - 1] = -c
+    return A
 
 
 def reference_residual(u, cE, cN):
@@ -86,6 +122,47 @@ def test_exact_on_a_single_level():
     assert _multigrid.pcg(u, levels, 1e-10, _multigrid.residual(cE, cN, u)[0]) == 1
 
 
+@pytest.mark.parametrize("shape", SHAPES + [(8, 8), (13, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_sine_solve_matches_a_dense_solve(shape):
+    # random positive coefficients constant along phi, from 1e-3 to 1e3;
+    # the columns 0 and -1 of cE belong to no interior equation and differ
+    n_r, n_phi = shape
+    rng = np.random.default_rng(12)
+    cE = np.repeat(10.0 ** rng.uniform(-3, 3, (n_r - 1, 1)), n_phi, axis=1)
+    cE[:, [0, -1]] = rng.random((n_r - 1, 2))
+    cN = np.repeat(10.0 ** rng.uniform(-3, 3, (n_r, 1)), n_phi - 1, axis=1)
+    u = rng.random(shape)
+    res, _ = _multigrid.residual(cE, cN, u)
+    want = u.copy()
+    want[1:-1, 1:-1] += np.linalg.solve(dense_operator(cE, cN), res[1:-1, 1:-1].ravel()).reshape(
+        n_r - 2, n_phi - 2)
+    _multigrid.sine_solve(u, cE, cN, res)
+    assert np.allclose(u, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    assert np.array_equal(u[[0, -1], :], want[[0, -1], :])
+    assert np.array_equal(u[:, [0, -1]], want[:, [0, -1]])
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 8.0])
+@pytest.mark.parametrize("arc", [FULL_ARC, INNER_ARC])
+def test_p2_system_is_constant_along_phi(nu, arc):
+    # the precondition of sine_solve, on the system _cell_energy assembles
+    cE, cN, _ = p2_system(MeasureProblem(nu=nu, p=2.0, n_r=33, n_phi=37, arc_target=arc))
+    assert np.all(cE[:, 1:-1] == cE[:, 1:2])
+    assert np.all(cN == cN[:, :1])
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 8.0])
+@pytest.mark.parametrize("arc", [FULL_ARC, INNER_ARC])
+def test_sine_solve_is_exact_on_the_p2_system(n, nu, arc):
+    # one call from the boundary data leaves a residual at the rounding floor
+    cE, cN, u = p2_system(MeasureProblem(nu=nu, p=2.0, n_r=n, n_phi=n, arc_target=arc))
+    res, before = _multigrid.residual(cE, cN, u)
+    _multigrid.sine_solve(u, cE, cN, res)
+    assert before > 0.0
+    assert _multigrid.residual(cE, cN, u)[1] <= 1e-12
+
+
 @pytest.mark.parametrize("shape", SHAPES + [(8, 8), (4, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_residual_and_its_relative_norm(shape):
     # b - A u node by node, and ||b|| as the norm of the data field's own
@@ -137,20 +214,25 @@ def test_cg_iterations_do_not_grow_with_the_grid():
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
-def test_p2_stage_builds_its_hierarchy_once(monkeypatch, p):
-    # at p = 2 the frozen coefficients depend on the grid alone; every
-    # p = 3 cycle builds its own
-    build, calls = _multigrid.hierarchy, []
+def test_p2_stage_builds_no_hierarchy(monkeypatch, p):
+    # the p = 2 stage is one direct solve; every p = 3 cycle builds its own
+    # hierarchy and runs pcg on it once
+    build, pcg, calls = _multigrid.hierarchy, _multigrid.pcg, []
 
-    def counted(cE, cN):
-        calls.append(cE.shape)
+    def counted_build(cE, cN):
+        calls.append("hierarchy")
         return build(cE, cN)
 
-    monkeypatch.setattr(_multigrid, "hierarchy", counted)
+    def counted_pcg(u, levels, rtol, r):
+        calls.append("pcg")
+        return pcg(u, levels, rtol, r)
+
+    monkeypatch.setattr(_multigrid, "hierarchy", counted_build)
+    monkeypatch.setattr(_multigrid, "pcg", counted_pcg)
     sol = solve_measure(MeasureProblem(nu=2.0, p=p, n_r=64, n_phi=64))
     stage_p = [c.p for c in sol.cycles]
-    assert sol.converged and stage_p.count(2.0) > 1
-    assert len(calls) == 1 + stage_p.count(3.0)
+    assert sol.converged and stage_p.count(2.0) == 1
+    assert calls == ["hierarchy", "pcg"] * stage_p.count(3.0)
 
 
 def test_anisotropic_levels_halve_the_strong_axis_only():
@@ -162,12 +244,18 @@ def test_anisotropic_levels_halve_the_strong_axis_only():
 
 
 def test_cg_iterations_do_not_grow_with_nu():
-    # the angular couplings outweigh the radial ones by about 4.8 nu^2
+    # the angular couplings outweigh the radial ones by about 4.8 nu^2; pcg
+    # on each nu's p = 2 system, restarted at CG_RTOL from the boundary data
+    # until the residual reaches the solve's tolerance
     for nu in (1.0, 2.0, 4.0, 8.0):
-        sol = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=128, n_phi=128))
-        assert sol.converged
-        cg = [c.cg for c in sol.cycles]
-        assert max(cg) <= 5, (nu, cg)
+        pr = MeasureProblem(nu=nu, p=2.0, n_r=128, n_phi=128)
+        cE, cN, u = p2_system(pr)
+        levels, cg = _multigrid.hierarchy(cE, cN), []
+        res, resid = _multigrid.residual(cE, cN, u)
+        while resid > pr.tol:
+            cg.append(_multigrid.pcg(u, levels, CG_RTOL, res))
+            res, resid = _multigrid.residual(cE, cN, u)
+        assert len(cg) > 1 and max(cg) <= 5, (nu, cg)
 
 
 @pytest.mark.parametrize("kw", [
