@@ -313,9 +313,8 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     phi: the p = 2 stage solves it directly (_multigrid.sine_solve, a cycle
     with cg = 0), which leaves a residual at the rounding floor, so at any
     tol above that floor the stage converges in one cycle; the check after
-    it forms only the energy.  Every
-    other stage hands pcg a hierarchy of the cycle's system that is freed
-    when pcg returns.
+    it forms only the energy.  Every other stage hands pcg a hierarchy of the
+    cycle's system that is freed when pcg returns.
 
     final_residual is that residual at the returned field with the problem's
     p: the last check's, evaluated once more if the solve stops in an earlier

@@ -246,7 +246,8 @@ def test_anisotropic_levels_halve_the_strong_axis_only():
 def test_cg_iterations_do_not_grow_with_nu():
     # the angular couplings outweigh the radial ones by about 4.8 nu^2; pcg
     # on each nu's p = 2 system, restarted at CG_RTOL from the boundary data
-    # until the residual reaches the solve's tolerance
+    # until the residual reaches the solve's tolerance, and on every cycle of
+    # a p = 3 solve, whose systems are the ones pcg serves
     for nu in (1.0, 2.0, 4.0, 8.0):
         pr = MeasureProblem(nu=nu, p=2.0, n_r=128, n_phi=128)
         cE, cN, u = p2_system(pr)
@@ -256,6 +257,9 @@ def test_cg_iterations_do_not_grow_with_nu():
             cg.append(_multigrid.pcg(u, levels, CG_RTOL, res))
             res, resid = _multigrid.residual(cE, cN, u)
         assert len(cg) > 1 and max(cg) <= 5, (nu, cg)
+        sol = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=128, n_phi=128))
+        cg = [c.cg for c in sol.cycles if c.p == 3.0]
+        assert sol.converged and len(cg) > 1 and max(cg) <= 5, (nu, cg)
 
 
 @pytest.mark.parametrize("kw", [
