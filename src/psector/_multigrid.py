@@ -38,6 +38,16 @@ computes its first half-sweep as a division and its residual on one colour
 only, from the neighbour sums alone; in exact arithmetic the V-cycle is the
 same linear operator as with a full sweep and the residual f - A x.
 
+pcg, vcycle and apply take a workspace (_kernels.work_array) that holds
+every work array of the solve: pcg's search direction, preconditioned
+residual and operator product, apply's edge fluxes, each level's iterate,
+pre-smoothing residual, restricted right side and prolonged correction,
+and the smoother's per-block scratch.  Keyed by shape, one workspace serves
+every hierarchy of a grid, whichever levels semicoarsening picks, so a
+solve that passes the same one to each pcg call allocates these arrays at
+its first call only.  No result depends on what an earlier call left: each
+call overwrites what it reads, except zeros on nodes that no code writes.
+
 Inner products are numpy einsum reductions: np.dot and np.linalg.norm go
 through BLAS, whose thread pool costs milliseconds per call on a busy
 machine, where einsum costs microseconds.
@@ -81,28 +91,27 @@ def _at(axis, index):
     return (slice(None),) * axis + (index,)
 
 
-def _restrict(x, axis):
-    """Transpose of _prolong along one axis: n nodes to n // 2 + 1."""
+def _restrict(x, axis, out=None, work=None):
+    """Transpose of _prolong along one axis: n nodes to n // 2 + 1, into out."""
     n = x.shape[axis]
     m = (n + 1) // 2  # coarse nodes at even fine indices; for even n, n - 1 is one more
-    shape = list(x.shape)
-    shape[axis] = n // 2 + 1
-    out = np.empty(shape)
+    if out is None:
+        shape = list(x.shape)
+        shape[axis] = n // 2 + 1
+        out = np.empty(shape)
     out[_at(axis, slice(0, m))] = x[_at(axis, slice(0, n, 2))]
     if n % 2 == 0:
         out[_at(axis, m)] = x[_at(axis, n - 1)]
-    half = 0.5 * x[_at(axis, slice(1, 2 * m - 2, 2))]
+    odd = x[_at(axis, slice(1, 2 * m - 2, 2))]
+    half = np.multiply(odd, 0.5, out=_kernels.work_array(work, "half", odd.shape))
     out[_at(axis, slice(0, m - 1))] += half
     out[_at(axis, slice(1, m))] += half
     return out
 
 
-def _prolong(xc, axis, n):
-    """Linear interpolation along one axis: n // 2 + 1 nodes to n."""
+def _prolong(xc, axis, n, out):
+    """Linear interpolation along one axis: n // 2 + 1 nodes to n, into out."""
     m = (n + 1) // 2
-    shape = list(xc.shape)
-    shape[axis] = n
-    out = np.empty(shape)
     out[_at(axis, slice(0, n, 2))] = xc[_at(axis, slice(0, m))]
     if n % 2 == 0:
         out[_at(axis, n - 1)] = xc[_at(axis, m)]
@@ -161,19 +170,23 @@ def hierarchy(cE, cN) -> list:
             cE, cN = _restrict(cE, 1), _series(cN, 1, n_phi)
 
 
-def apply(cE, cN, x, out=None):
+def apply(cE, cN, x, out=None, work=None):
     """The operator of cE and cN on x, at the interior nodes; 0 on the boundary.
 
-    Boundary values of x enter as the Dirichlet data of the neighbours.
+    Boundary values of x enter as the Dirichlet data of the neighbours.  A
+    given out has its interior overwritten and its boundary left as it is.
     """
-    fr = x[1:] - x[:-1]
-    fr *= cE
-    fa = x[:, 1:] - x[:, :-1]
-    fa *= cN
     if out is None:
         out = np.zeros_like(x)
     inner = out[1:-1, 1:-1]
+    # the radial, then the angular edge fluxes, one after the other in one
+    # array of x's size
+    flux = _kernels.work_array(work, "flux", (x.size,))
+    fr = np.subtract(x[1:], x[:-1], out=flux[:cE.size].reshape(cE.shape))
+    fr *= cE
     np.subtract(fr[:-1, 1:-1], fr[1:, 1:-1], out=inner)
+    fa = np.subtract(x[:, 1:], x[:, :-1], out=flux[:cN.size].reshape(cN.shape))
+    fa *= cN
     inner += fa[1:-1, :-1]
     inner -= fa[1:-1, 1:]
     return out
@@ -193,32 +206,45 @@ def residual(cE, cN, u):
     return r, math.sqrt(dot(r, r) / (dot(rows, rows) + dot(cols, cols)))
 
 
-def vcycle(levels, f, depth=0):
-    """One V-cycle for A x = f from x = 0; f and x vanish on the boundary."""
+def vcycle(levels, f, work=None, x=None, depth=0):
+    """One V-cycle for A x = f from x = 0; f and x vanish on the boundary.
+
+    Writes x, a fresh array when None, and returns it; a given x needs a
+    zero boundary, and its interior is overwritten.  work is the workspace
+    (see the module docstring), a fresh one when None.
+    """
+    if x is None:
+        x = np.zeros_like(f)
+    if work is None:
+        work = {}
     level = levels[depth]
-    x = np.zeros_like(f)
-    if level.inverse is not None:
-        x[1:-1, 1:-1] = (level.inverse * f[1:-1, 1:-1].ravel()).sum(axis=1).reshape(
-            f.shape[0] - 2, f.shape[1] - 2)
-        return x
-    res = _kernels.presmooth(x, level.system, f)
     n_r, n_phi = f.shape
+    if level.inverse is not None:
+        # x = inverse f on the interior, summed as (inverse * f).sum(axis=1)
+        inner = _kernels.work_array(work, "inverse_f", (n_r - 2, n_phi - 2))
+        np.copyto(inner, f[1:-1, 1:-1])
+        prod = _kernels.work_array(work, "inverse_prod", level.inverse.shape)
+        np.multiply(level.inverse, inner.reshape(-1), out=prod)
+        np.sum(prod, axis=1, out=inner.reshape(-1))
+        x[1:-1, 1:-1] = inner
+        return x
+    res = _kernels.presmooth(x, level.system, f, work)
     coarse = levels[depth + 1].shape
     if coarse[0] < n_r:
-        res = _restrict(res, 0)
+        res = _restrict(res, 0, _kernels.work_array(work, "restrict_r", (coarse[0], n_phi)), work)
     if coarse[1] < n_phi:
-        res = _restrict(res, 1)
-    xc = vcycle(levels, res, depth + 1)
+        res = _restrict(res, 1, _kernels.work_array(work, "restrict_phi", coarse), work)
+    xc = vcycle(levels, res, work, _kernels.work_array(work, "x", coarse), depth + 1)
     if coarse[1] < n_phi:
-        xc = _prolong(xc, 1, n_phi)
+        xc = _prolong(xc, 1, n_phi, _kernels.work_array(work, "prolong_phi", (coarse[0], n_phi)))
     if coarse[0] < n_r:
-        xc = _prolong(xc, 0, n_r)
+        xc = _prolong(xc, 0, n_r, _kernels.work_array(work, "prolong_r", f.shape))
     x += xc
-    _kernels.sor_sweep(x, level.system, f, (1, 0))
+    _kernels.sor_sweep(x, level.system, f, (1, 0), work)
     return x
 
 
-def pcg(u, levels, rtol, r) -> int:
+def pcg(u, levels, rtol, r, work=None) -> int:
     """Solve the finest level's system in place, warm-started from u, whose
     residual b - A u is r (as residual returns it; pcg overwrites it).
 
@@ -226,28 +252,39 @@ def pcg(u, levels, rtol, r) -> int:
     Stops when the residual's 2-norm falls to rtol times its value at u;
     returns the number of CG iterations, or MAX_CG if it misses the target or
     breaks down (r . z or p . A p not positive, as at large p).
+
+    work is the workspace (see the module docstring) for a solve that calls
+    pcg again on grids of u's shape; a fresh one when None.  pcg keeps in
+    it the search direction p, the preconditioned residual z, which also
+    holds the step alpha p until the V-cycle writes z, and the product A p,
+    and passes it to vcycle and apply.  It zeroes their boundaries on entry,
+    since a breakdown can leave them non-finite, so a call's result does
+    not depend on the calls before it.
     """
     level = levels[0]
     rr = dot(r, r)
     if rr == 0.0:
         return 0
+    if work is None:
+        work = {}
     target = rtol * rtol * rr
-    p = vcycle(levels, r)
+    p, z, q = (_kernels.work_array(work, name, u.shape) for name in ("p", "z", "Ap"))
+    for x in (p, z, q):
+        x[0] = x[-1] = 0.0
+        x[:, 0] = x[:, -1] = 0.0
+    vcycle(levels, r, work, p)
     rz = dot(r, p)
-    q = np.zeros_like(u)
-    tmp = np.empty_like(u)
     for it in range(1, MAX_CG + 1):
-        pq = dot(p, apply(level.cE, level.cN, p, q))
+        pq = dot(p, apply(level.cE, level.cN, p, q, work))
         if not (rz > 0.0 and pq > 0.0):
             return MAX_CG
         alpha = rz / pq
-        np.multiply(p, alpha, out=tmp)
-        u += tmp
+        u += np.multiply(p, alpha, out=z)  # z is free until the V-cycle below
         q *= alpha
         r -= q
         if dot(r, r) <= target:
             return it
-        z = vcycle(levels, r)
+        vcycle(levels, r, work, z)
         rz, rz_old = dot(r, z), rz
         p *= rz / rz_old
         p += z

@@ -55,6 +55,7 @@ def _plain(obj):
 
 
 def write_json(path, data) -> None:
+    # one write of the whole text: json.dump writes it in thousands of pieces
+    text = json.dumps(_plain(data), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_plain(data), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

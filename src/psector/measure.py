@@ -314,7 +314,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     with cg = 0), which leaves a residual at the rounding floor, so at any
     tol above that floor the stage converges in one cycle; the check after
     it forms only the energy.  Every other stage hands pcg a hierarchy of the
-    cycle's system that is freed when pcg returns.
+    cycle's system that is freed when pcg returns, and one workspace
+    (_multigrid) for all its cycles, so the CG and V-cycle work arrays are
+    allocated once per stage.
 
     final_residual is that residual at the returned field with the problem's
     p: the last check's, evaluated once more if the solve stops in an earlier
@@ -346,6 +348,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         tau = 1.0
         capped_run = 0
         mixing = stage < 2.0 and ANDERSON_DEPTH > 0
+        work = {}  # the stage's pcg workspace
         if mixing:
             # Anderson history: column k holds f (and g) of a cycle minus
             # that of the cycle before, where g is the clipped Picard result
@@ -375,7 +378,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             else:
                 # the cycle's levels are freed when pcg returns, and their
                 # finest cE and cN with state
-                cg = _multigrid.pcg(u, _multigrid.hierarchy(*state[1:]), CG_RTOL, res)
+                cg = _multigrid.pcg(u, _multigrid.hierarchy(*state[1:]), CG_RTOL, res, work)
                 del state
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
@@ -497,15 +500,24 @@ def comparability_constants(solution: MeasureSolution, k: float,
     return float(ratio.min()), float(ratio.max())
 
 
-def _circle_point(s):
+def _circle_point(s, out):
     """(s^2 - 1, 2 s) / (s^2 + 1), the point at angle pi - 2 arctan s on the
-    unit circle: uniform on it for s = tan(pi (U - 1/2)), U uniform."""
-    s2 = s * s
-    den = s2 + np.float32(1.0)
-    return (s2 - np.float32(1.0)) / den, (s + s) / den
+    unit circle: uniform on it for s = tan(pi (U - 1/2)), U uniform.
+
+    out holds three arrays of s's shape: the first two receive the point's
+    coordinates, which are returned, and the third is scratch.
+    """
+    x, y, den = out
+    np.multiply(s, s, out=x)
+    np.add(x, np.float32(1.0), out=den)
+    x -= np.float32(1.0)
+    x /= den
+    np.add(s, s, out=y)
+    y /= den
+    return x, y
 
 
-def _half_disk_exit(a, tau):
+def _half_disk_exit(a, tau, out):
     """s with _circle_point(s) where a Brownian path from i a (0 <= a < 1)
     leaves the unit upper half-disk, given tau = tan(pi (U - 1/2)), U uniform.
 
@@ -515,11 +527,26 @@ def _half_disk_exit(a, tau):
     Cauchy t = cos beta + tau sin beta, rational in a.  t >= 0, chance
     1 - beta / pi, is an exit through the diameter: s = 0, its end (-1, 0).
     Otherwise s = sqrt(-t) = cot(theta / 2) at the exit point e^(i theta).
+
+    out holds four arrays of a's shape: the first receives s, which is
+    returned, and the others are scratch.
     """
-    b = a * a
-    c = np.float32(1.0) - b
-    t = c * c - np.float32(4.0) * b + np.float32(4.0) * a * c * tau
-    return np.sqrt(np.maximum(-t, np.float32(0.0))) / (np.float32(1.0) + b)
+    t, b, c, w = out
+    # t = c^2 - 4 b + 4 a c tau with b = a^2 and c = 1 - b
+    np.multiply(a, a, out=b)
+    np.subtract(np.float32(1.0), b, out=c)
+    np.multiply(c, c, out=t)
+    t -= np.multiply(np.float32(4.0), b, out=w)
+    np.multiply(np.float32(4.0), a, out=w)
+    w *= c
+    w *= tau
+    t += w
+    np.negative(t, out=t)
+    np.maximum(t, np.float32(0.0), out=t)
+    np.sqrt(t, out=t)
+    b += np.float32(1.0)
+    t /= b
+    return t
 
 
 def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int):
@@ -543,6 +570,14 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int):
     0 <= v <= alpha, so the shell is at least 40 ulp wide.  Every start point
     is checked before the first walk.  Returns a list of (estimate, binomial
     stderr), deterministic for a fixed seed >= 0.
+
+    The work arrays are made once per call, each n_walks long: two copies of
+    the walkers' state (u, v, d_arc, d_side, h and on_arc), ten float32 rows
+    and two bool rows.  A step works on their first n entries, n the
+    walkers still live, and writes every result into them in place;
+    absorbed walkers are dropped by copying the live ones, in order, from
+    one state copy into the other.  So the loop allocates only the index
+    array of each such copy.
     """
     nu = _as_nu(nu)
     if n_walks < 1:
@@ -557,36 +592,72 @@ def mc_harmonic_measure(nu: float, R: float, points, n_walks: int, seed: int):
     one, shell, alpha = np.float32(1.0), np.float32(MC_SHELL), np.float32(alpha)
     pi, half_pi = np.float32(math.pi), np.float32(0.5 * math.pi)
     rng = np.random.default_rng(seed)
+    # each state copy: the rows u, v, d_arc, d_side, h, then on_arc
+    states = [(*np.empty((5, n_walks), np.float32), np.empty(n_walks, bool)) for _ in range(2)]
+    rows = np.empty((10, n_walks), np.float32)
+    flags = np.empty((2, n_walks), bool)
     out = []
     for r0, phi0 in points:
-        u = np.full(n_walks, math.log(r0 / R), np.float32)
-        v = np.full(n_walks, abs(phi0), np.float32)
-        hits = 0
+        src, dst = states
+        src[0].fill(math.log(r0 / R))
+        src[1].fill(abs(phi0))
+        n, hits = n_walks, 0
         for _ in range(MC_MAX_STEPS):
-            d_arc, d_side = -u, alpha - v
-            h = np.minimum(d_arc, d_side)
-            on_arc = d_arc <= d_side
-            done = h < shell
+            u, v, d_arc, d_side, h, on_arc = (row[:n] for row in src)
+            np.negative(u, out=d_arc)
+            np.subtract(alpha, v, out=d_side)
+            np.minimum(d_arc, d_side, out=h)
+            np.less_equal(d_arc, d_side, out=on_arc)
+            done, hit = flags[:, :n]
+            np.less(h, shell, out=done)
             if done.any():
-                hits += int(np.count_nonzero(done & on_arc))
-                keep = np.flatnonzero(~done)  # compacts in order
-                u, v, d_arc, d_side, h, on_arc = (
-                    x.take(keep) for x in (u, v, d_arc, d_side, h, on_arc))
-            if u.size == 0:
+                hits += int(np.count_nonzero(np.logical_and(done, on_arc, out=hit)))
+                keep = np.flatnonzero(np.logical_not(done, out=done))  # in order
+                n = keep.size
+                # mode "clip" writes straight into out; keep is in range
+                for row, copy in zip(src, dst):
+                    np.take(row, keep, out=copy[:n], mode="clip")
+                src, dst = dst, src
+                u, v, d_arc, d_side, h, on_arc = (row[:n] for row in src)
+            if n == 0:
                 break
-            tau = np.tan(rng.random(u.size, dtype=np.float32) * pi - half_pi)
-            rho = np.minimum(np.maximum(d_arc, d_side), alpha + alpha)
-            a = h / rho
+            tau, rho, a, disk, half, lift, s, x, y, scale = rows[:, :n]
+            rng.random(n, dtype=np.float32, out=tau)
+            tau *= pi
+            tau -= half_pi
+            np.tan(tau, out=tau)
+            np.maximum(d_arc, d_side, out=rho)
+            np.minimum(rho, alpha + alpha, out=rho)
+            np.divide(h, rho, out=a)
             # each step's kind and line are chosen by 0/1 factors, which
             # select exactly and cost less than np.where on a mixed mask
-            disk = (a > HALF_DISK_MAX).astype(np.float32)
-            half, lift = one - disk, disk * h
-            x, y = _circle_point(disk * tau + half * _half_disk_exit(a, tau))
-            scale = half * rho + lift
-            x, y = x * scale, y * scale + lift  # along the line, above it
-            arc = on_arc.astype(np.float32)
-            side = one - arc
-            u, v = side * (u + x) - arc * y, np.abs(arc * (v + x) + side * (alpha - y))
+            np.greater(a, HALF_DISK_MAX, out=disk)
+            np.subtract(one, disk, out=half)
+            np.multiply(disk, h, out=lift)
+            # s = disk tau + half _half_disk_exit(a, tau), with x, y and
+            # scale as the exit's scratch
+            _half_disk_exit(a, tau, (s, x, y, scale))
+            s *= half
+            s += np.multiply(disk, tau, out=tau)
+            _circle_point(s, (x, y, scale))
+            np.multiply(half, rho, out=scale)
+            scale += lift
+            x *= scale  # along the line
+            y *= scale  # above it
+            y += lift
+            # u, v = side (u + x) - arc y, |arc (v + x) + side (alpha - y)|,
+            # arc = on_arc as 0/1 and side = 1 - arc in the rows of a and
+            # half, and t in scale's
+            arc, side, t = a, half, scale
+            np.copyto(arc, on_arc)
+            np.subtract(one, arc, out=side)
+            v += x
+            v *= arc
+            v += np.multiply(np.subtract(alpha, y, out=t), side, out=t)
+            np.abs(v, out=v)
+            u += x
+            u *= side
+            u -= np.multiply(arc, y, out=t)
         est = hits / n_walks
         stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / n_walks)
         out.append((est, stderr))

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -86,6 +87,55 @@ def reference_mc(nu, R, points, n_walks, seed, shell=1e-5, max_steps=100000):
         est = float(hit.mean())
         stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / n_walks)
         out.append((est, stderr))
+    return out
+
+
+def reference_walk(nu, R, points, n_walks, seed):
+    # the walk of mc_harmonic_measure as it was before its work arrays were
+    # made once per call: every step allocates its arrays and compacts the
+    # walkers with take, and the half-disk exit and circle point are written
+    # out as expressions; the reference the oracle must match bitwise
+    f32 = np.float32
+    alpha = math.pi / (2.0 * nu)
+    one, shell, alpha = f32(1.0), f32(measure.MC_SHELL), f32(alpha)
+    pi, half_pi = f32(math.pi), f32(0.5 * math.pi)
+    rng = np.random.default_rng(seed)
+    out = []
+    for r0, phi0 in points:
+        u = np.full(n_walks, math.log(r0 / R), f32)
+        v = np.full(n_walks, abs(phi0), f32)
+        hits = 0
+        for _ in range(measure.MC_MAX_STEPS):
+            d_arc, d_side = -u, alpha - v
+            h = np.minimum(d_arc, d_side)
+            on_arc = d_arc <= d_side
+            done = h < shell
+            if done.any():
+                hits += int(np.count_nonzero(done & on_arc))
+                keep = np.flatnonzero(~done)
+                u, v, d_arc, d_side, h, on_arc = (
+                    x.take(keep) for x in (u, v, d_arc, d_side, h, on_arc))
+            if u.size == 0:
+                break
+            tau = np.tan(rng.random(u.size, dtype=f32) * pi - half_pi)
+            rho = np.minimum(np.maximum(d_arc, d_side), alpha + alpha)
+            a = h / rho
+            disk = (a > measure.HALF_DISK_MAX).astype(f32)
+            half, lift = one - disk, disk * h
+            b = a * a
+            c = one - b
+            t = c * c - f32(4.0) * b + f32(4.0) * a * c * tau
+            s = disk * tau + half * (np.sqrt(np.maximum(-t, f32(0.0))) / (one + b))
+            s2 = s * s
+            den = s2 + one
+            x, y = (s2 - one) / den, (s + s) / den
+            scale = half * rho + lift
+            x, y = x * scale, y * scale + lift
+            arc = on_arc.astype(f32)
+            side = one - arc
+            u, v = side * (u + x) - arc * y, np.abs(arc * (v + x) + side * (alpha - y))
+        est = hits / n_walks
+        out.append((est, math.sqrt(max(est * (1.0 - est), 1e-12) / n_walks)))
     return out
 
 
@@ -360,7 +410,7 @@ class TestSolveMeasure:
         # with u unmoved; the unchanged residual does not end the stage, and
         # CAPPED_STOP such solves in a row end the solve, still in the p = 3
         # stage of a p = 4 solve, before max_iter
-        def stalled(u, levels, rtol, r):
+        def stalled(u, levels, rtol, r, work):
             return _multigrid.MAX_CG
 
         monkeypatch.setattr(_multigrid, "pcg", stalled)
@@ -377,9 +427,9 @@ class TestSolveMeasure:
         pcg = _multigrid.pcg
         calls = []
 
-        def stalled_first(u, levels, rtol, r):
+        def stalled_first(u, levels, rtol, r, work):
             calls.append(None)
-            return _multigrid.MAX_CG if len(calls) < CAPPED_STOP else pcg(u, levels, rtol, r)
+            return _multigrid.MAX_CG if len(calls) < CAPPED_STOP else pcg(u, levels, rtol, r, work)
 
         monkeypatch.setattr(_multigrid, "pcg", stalled_first)
         sol = solve_measure(MeasureProblem(nu=1.0, p=4.0, n_r=24, n_phi=24))
@@ -394,8 +444,8 @@ class TestSolveMeasure:
         # over the records
         pcg, returned = _multigrid.pcg, []
 
-        def logged(u, levels, rtol, r):
-            returned.append(pcg(u, levels, rtol, r))
+        def logged(u, levels, rtol, r, work):
+            returned.append(pcg(u, levels, rtol, r, work))
             return returned[-1]
 
         monkeypatch.setattr(_multigrid, "pcg", logged)
@@ -713,7 +763,8 @@ class TestWalkOnSpheres:
         n, a = 200000, 0.3
         u = np.random.default_rng(3).random(n, dtype=np.float32)
         tau = np.tan(u * np.float32(math.pi) - np.float32(0.5 * math.pi))
-        x, y = _circle_point(_half_disk_exit(np.full(n, a, np.float32), tau))
+        s = _half_disk_exit(np.full(n, a, np.float32), tau, np.empty((4, n), np.float32))
+        x, y = _circle_point(s, np.empty((3, n), np.float32))
         want = 1.0 - 4.0 / math.pi * math.atan(a)
         share = np.count_nonzero(y == 0.0) / n
         assert abs(share - want) <= 4.5 * math.sqrt(want * (1.0 - want) / n)
@@ -736,6 +787,72 @@ class TestWalkOnSpheres:
                     want = exact_half_disk(r0, f0, nu)
                     chi2 += (est - want) ** 2 / (want * (1.0 - want) / n_walks)
         assert chi2 <= 84.04
+
+    @pytest.mark.parametrize("nu", ORACLE_NUS + (8.0,))
+    def test_walk_matches_reference_walk_bitwise(self, nu):
+        # the same float32 arithmetic and random draws as reference_walk:
+        # equal estimates at a side (0.95 alpha), next to the arc (r = 0.999)
+        # and the apex (r = 1e-3), and from a start inside the arc's shell
+        alpha = math.pi / (2.0 * nu)
+        pts = [(0.5, 0.0), (0.4, 0.95 * alpha), (0.999, -0.3 * alpha), (1e-3, 0.5 * alpha),
+               (1.0 - 0.5 * measure.MC_SHELL, 0.0)]
+        for seed in (0, 1, 7, 11):
+            got = mc_harmonic_measure(nu, 1.0, pts, 3000, seed)
+            assert got == reference_walk(nu, 1.0, pts, 3000, seed), seed
+            assert got[-1][0] == 1.0 and 0.0 < got[0][0] < 1.0
+
+    def test_calls_do_not_share_state(self):
+        # a call between two equal calls changes neither result
+        pts = [(0.5, 0.0), (0.7, 0.4)]
+        first = mc_harmonic_measure(1.0, 1.0, pts, 4000, seed=3)
+        mc_harmonic_measure(2.0, 1.0, [(0.3, 0.1)] * 3, 9000, seed=4)
+        assert mc_harmonic_measure(1.0, 1.0, pts, 4000, seed=3) == first
+
+    def test_steps_allocate_no_walker_rows(self, monkeypatch):
+        # once a call has made its arrays, no step allocates a float32 row
+        # of the live walkers.  The traced peak is read and reset at every
+        # uniform draw and every compaction index: each span between two of
+        # them allocates less than 4 bytes per live walker, the index itself
+        # left out (it is made inside the reset of its span)
+        default_rng, flatnonzero, spans = np.random.default_rng, np.flatnonzero, []
+
+        def span(live):
+            # the record is made before the reset, so neither span counts it
+            spans.append((live, tracemalloc.get_traced_memory()[1] - base[0]))
+            tracemalloc.reset_peak()
+            base[0] = tracemalloc.get_traced_memory()[0]
+
+        class Drawn:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, n, dtype, out):
+                span(n)
+                return self.rng.random(n, dtype=dtype, out=out)
+
+        def indexed(mask):
+            span(mask.size)
+            keep = flatnonzero(mask)
+            tracemalloc.reset_peak()
+            base[0] = tracemalloc.get_traced_memory()[0]
+            return keep
+
+        monkeypatch.setattr(np.random, "default_rng", Drawn)
+        monkeypatch.setattr(np, "flatnonzero", indexed)
+        base = [0]
+        tracemalloc.start()
+        try:
+            base[0] = tracemalloc.get_traced_memory()[0]
+            mc_harmonic_measure(1.0, 1.0, [(0.5, 0.0), (0.1, 0.5)], 200000, seed=5)
+        finally:
+            tracemalloc.stop()
+        # the first span holds the set-up; spans of fewer than 8192 live
+        # walkers are left out, where a row is as small as numpy's casting
+        # buffer (8192 elements) and the interpreter's own objects
+        checked = [(live, extra) for live, extra in spans[1:] if live >= 8192]
+        assert len(checked) >= 20
+        assert all(extra < 4 * live for live, extra in checked), max(
+            checked, key=lambda c: c[1] / c[0])
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 5.0])
     def test_estimates_do_not_depend_on_R(self, nu):

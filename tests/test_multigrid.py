@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from psector import _multigrid
+from psector import _kernels, _multigrid
 from psector.measure import (
     CG_RTOL,
     FULL_ARC,
@@ -81,6 +83,112 @@ def reference_residual(u, cE, cN):
     return r
 
 
+def reference_restrict(x, axis):
+    n = x.shape[axis]
+    m = (n + 1) // 2
+    shape = list(x.shape)
+    shape[axis] = n // 2 + 1
+    out = np.empty(shape)
+    at = _multigrid._at
+    out[at(axis, slice(0, m))] = x[at(axis, slice(0, n, 2))]
+    if n % 2 == 0:
+        out[at(axis, m)] = x[at(axis, n - 1)]
+    half = 0.5 * x[at(axis, slice(1, 2 * m - 2, 2))]
+    out[at(axis, slice(0, m - 1))] += half
+    out[at(axis, slice(1, m))] += half
+    return out
+
+
+def reference_prolong(xc, axis, n):
+    m = (n + 1) // 2
+    shape = list(xc.shape)
+    shape[axis] = n
+    out = np.empty(shape)
+    at = _multigrid._at
+    out[at(axis, slice(0, n, 2))] = xc[at(axis, slice(0, m))]
+    if n % 2 == 0:
+        out[at(axis, n - 1)] = xc[at(axis, m)]
+    mid = out[at(axis, slice(1, 2 * m - 2, 2))]
+    np.add(xc[at(axis, slice(0, m - 1))], xc[at(axis, slice(1, m))], out=mid)
+    mid *= 0.5
+    return out
+
+
+def reference_presmooth(u, system, rhs):
+    def neighbour_sum(block):
+        _, at_w, at_e, at_s, at_n, aW, aE, aS, aN, _ = block
+        nbr = aW * u[at_w]
+        nbr += aE * u[at_e]
+        t = aS * u[at_s]
+        t += aN * u[at_n]
+        nbr += t
+        return nbr
+
+    for block in system[0]:
+        np.divide(rhs[block[0]], block[-1], out=u[block[0]])
+    for block in system[1]:
+        nbr = neighbour_sum(block)
+        nbr += rhs[block[0]]
+        np.divide(nbr, block[-1], out=u[block[0]])
+    res = np.zeros_like(u)
+    for block in system[0]:
+        res[block[0]] = neighbour_sum(block)
+    return res
+
+
+def reference_vcycle(levels, f, depth=0):
+    # the V-cycle as it was before its work arrays were kept in a
+    # workspace: every level allocates its iterate, residual and transfers
+    level = levels[depth]
+    x = np.zeros_like(f)
+    if level.inverse is not None:
+        x[1:-1, 1:-1] = (level.inverse * f[1:-1, 1:-1].ravel()).sum(axis=1).reshape(
+            f.shape[0] - 2, f.shape[1] - 2)
+        return x
+    res = reference_presmooth(x, level.system, f)
+    n_r, n_phi = f.shape
+    coarse = levels[depth + 1].shape
+    if coarse[0] < n_r:
+        res = reference_restrict(res, 0)
+    if coarse[1] < n_phi:
+        res = reference_restrict(res, 1)
+    xc = reference_vcycle(levels, res, depth + 1)
+    if coarse[1] < n_phi:
+        xc = reference_prolong(xc, 1, n_phi)
+    if coarse[0] < n_r:
+        xc = reference_prolong(xc, 0, n_r)
+    x += xc
+    _kernels.sor_sweep(x, level.system, f, (1, 0))
+    return x
+
+
+def reference_pcg(u, levels, rtol, r):
+    # pcg as it was before its workspace, with fresh arrays every iteration
+    level = levels[0]
+    rr = _multigrid.dot(r, r)
+    if rr == 0.0:
+        return 0
+    target = rtol * rtol * rr
+    p = reference_vcycle(levels, r)
+    rz = _multigrid.dot(r, p)
+    q = np.zeros_like(u)
+    for it in range(1, _multigrid.MAX_CG + 1):
+        pq = _multigrid.dot(p, _multigrid.apply(level.cE, level.cN, p, q))
+        if not (rz > 0.0 and pq > 0.0):
+            return _multigrid.MAX_CG
+        alpha = rz / pq
+        u += p * alpha
+        q *= alpha
+        r -= q
+        if _multigrid.dot(r, r) <= target:
+            return it
+        z = reference_vcycle(levels, r)
+        rz, rz_old = _multigrid.dot(r, z), rz
+        p *= rz / rz_old
+        p += z
+    return _multigrid.MAX_CG
+
+
 @pytest.mark.parametrize("shape", SHAPES + [(8, 8), (13, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_vcycle_is_symmetric_positive(shape):
     levels = _multigrid.hierarchy(*edge_coefficients(shape, seed=0))
@@ -111,6 +219,79 @@ def test_cg_reaches_its_residual_target(shape, coefficients, rtol):
     assert np.linalg.norm(reference_residual(u, cE, cN)) <= rtol * r0
     for before, after in zip(edges, (u[0, :], u[-1, :], u[:, 0], u[:, -1])):
         assert np.array_equal(before, after)
+
+
+def warm_start(shape, seed):
+    # a random field and its residual under random coefficients
+    cE, cN = edge_coefficients(shape, seed)
+    u = np.random.default_rng(seed + 100).random(shape)
+    return u, _multigrid.hierarchy(cE, cN), _multigrid.residual(cE, cN, u)[0]
+
+
+def test_pcg_matches_the_reference_bitwise():
+    # one workspace through every shape, each shape twice and the 8x8
+    # single dense level last: the same fields and iteration counts as the
+    # allocating reference
+    work = {}
+    for seed, shape in enumerate(SHAPES * 2 + [(8, 8), (13, 9)]):
+        u, levels, r = warm_start(shape, seed)
+        want_u, want_r = u.copy(), r.copy()
+        want = reference_pcg(want_u, levels, 1e-4, want_r)
+        its = _multigrid.pcg(u, levels, 1e-4, r, work)
+        assert its == want and 0 < its < _multigrid.MAX_CG
+        assert np.array_equal(u, want_u) and np.array_equal(r, want_r)
+
+
+def test_vcycle_matches_the_reference_bitwise():
+    work = {}
+    for seed, shape in enumerate(SHAPES + [(8, 8), (13, 9)]):
+        _, levels, r = warm_start(shape, seed)
+        x = np.full(shape, np.nan)
+        x[1:-1, 1:-1] = 0.5
+        x[[0, -1]] = x[:, [0, -1]] = 0.0
+        assert _multigrid.vcycle(levels, r, work, x) is x
+        assert np.array_equal(x, reference_vcycle(levels, r))
+        assert np.array_equal(_multigrid.vcycle(levels, r), x)
+
+
+def test_pcg_ignores_what_a_breakdown_left():
+    # a breakdown can leave non-finite values in the search direction, the
+    # step and the operator product; the next call with the same workspace
+    # equals a fresh one
+    shape = (40, 40)
+    work = {}
+    u, levels, r = warm_start(shape, 1)
+    _multigrid.pcg(u, levels, 1e-2, r, work)
+    for name, value in (("p", np.nan), ("z", -np.inf), ("Ap", np.inf)):
+        work[name, shape].fill(value)
+    u, levels, r = warm_start(shape, 2)
+    want_u = u.copy()
+    want = _multigrid.pcg(want_u, levels, 1e-2, r.copy())
+    assert _multigrid.pcg(u, levels, 1e-2, r, work) == want
+    assert np.array_equal(u, want_u)
+
+
+def test_warm_workspace_allocates_less_than_a_field():
+    # with the workspace of an earlier call on the same levels, a pcg call's
+    # traced peak stays below one field; a cold workspace costs several.
+    # What a warm call allocates is numpy's ufunc buffers for strided
+    # operands, 8192 elements each, far below a field at 256^2
+    shape = (256, 256)
+    cE, cN = edge_coefficients(shape, seed=3)
+    levels = _multigrid.hierarchy(cE, cN)
+    work, peaks = {}, []
+    for seed, workspace in enumerate((work, work, {})):
+        u = np.random.default_rng(seed).random(shape)
+        r = _multigrid.residual(cE, cN, u)[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert 0 < _multigrid.pcg(u, levels, 1e-2, r, workspace) < _multigrid.MAX_CG
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    field = 8 * shape[0] * shape[1]
+    assert peaks[1] < field < 4 * field < min(peaks[0], peaks[2]), peaks
 
 
 def test_exact_on_a_single_level():
@@ -223,9 +404,9 @@ def test_p2_stage_builds_no_hierarchy(monkeypatch, p):
         calls.append("hierarchy")
         return build(cE, cN)
 
-    def counted_pcg(u, levels, rtol, r):
+    def counted_pcg(u, levels, rtol, r, work):
         calls.append("pcg")
-        return pcg(u, levels, rtol, r)
+        return pcg(u, levels, rtol, r, work)
 
     monkeypatch.setattr(_multigrid, "hierarchy", counted_build)
     monkeypatch.setattr(_multigrid, "pcg", counted_pcg)
@@ -260,6 +441,19 @@ def test_cg_iterations_do_not_grow_with_nu():
         sol = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=128, n_phi=128))
         cg = [c.cg for c in sol.cycles if c.p == 3.0]
         assert sol.converged and len(cg) > 1 and max(cg) <= 5, (nu, cg)
+
+
+def test_solves_do_not_share_state():
+    # the same (2, 3) problem twice, then 128^2, 64^2 and 128^2 solves in
+    # turn: each equal to the first solve of its problem
+    def key(sol):
+        return sol.omega.tobytes(), sol.cycles, sol.final_residual
+
+    fresh = {}
+    for n in (64, 64, 128, 64, 128):
+        sol = solve_measure(MeasureProblem(nu=2.0, p=3.0, n_r=n, n_phi=n))
+        assert sol.converged
+        assert key(fresh.setdefault(n, sol)) == key(sol)
 
 
 @pytest.mark.parametrize("kw", [
