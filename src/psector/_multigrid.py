@@ -12,10 +12,10 @@ cE[i, j] couples nodes (i, j) and (i + 1, j), cN[i, j] nodes (i, j) and
 r = residual(cE, cN, u)[0].  At p = 2 the coefficients are constant along
 phi and sine_solve(u, cE, cN, r) solves directly: a DST-I in phi, one
 tridiagonal solve in r per sine mode, and the inverse DST-I.  At p != 2
-hierarchy(cE, cN) builds the levels once per cycle and pcg(u, levels, rtol, r)
-solves, warm-started.  Every level, its operator (apply) and its smoother
-(_kernels.sor_system) use this one edge layout; the finest level holds the
-caller's cE and cN, not copies.
+hierarchy(cE, cN) builds the levels once per cycle and
+pcg(u, levels, rtol, r, work) solves, warm-started.  Every level, its
+operator (apply) and its smoother (_kernels.sor_system) use this one edge
+layout; the finest level holds the caller's cE and cN, not copies.
 
 Each coarser level halves an axis, keeping the even-index nodes and the last
 one, and stays a 5-point operator: along a coarsened axis two fine edges
@@ -38,7 +38,7 @@ computes its first half-sweep as a division and its residual on one colour
 only, from the neighbour sums alone; in exact arithmetic the V-cycle is the
 same linear operator as with a full sweep and the residual f - A x.
 
-pcg, vcycle and apply take a workspace (_kernels.work_array) that holds
+pcg and vcycle require a workspace (_kernels.work_array), a dict that holds
 every work array of the solve: pcg's search direction, preconditioned
 residual and operator product, apply's edge fluxes, each level's iterate,
 pre-smoothing residual, restricted right side and prolonged correction,
@@ -206,17 +206,12 @@ def residual(cE, cN, u):
     return r, math.sqrt(dot(r, r) / (dot(rows, rows) + dot(cols, cols)))
 
 
-def vcycle(levels, f, work=None, x=None, depth=0):
+def vcycle(levels, f, work, x, depth=0):
     """One V-cycle for A x = f from x = 0; f and x vanish on the boundary.
 
-    Writes x, a fresh array when None, and returns it; a given x needs a
-    zero boundary, and its interior is overwritten.  work is the workspace
-    (see the module docstring), a fresh one when None.
+    Overwrites the interior of x and returns it; work is the workspace (see
+    the module docstring).
     """
-    if x is None:
-        x = np.zeros_like(f)
-    if work is None:
-        work = {}
     level = levels[depth]
     n_r, n_phi = f.shape
     if level.inverse is not None:
@@ -244,7 +239,7 @@ def vcycle(levels, f, work=None, x=None, depth=0):
     return x
 
 
-def pcg(u, levels, rtol, r, work=None) -> int:
+def pcg(u, levels, rtol, r, work) -> int:
     """Solve the finest level's system in place, warm-started from u, whose
     residual b - A u is r (as residual returns it; pcg overwrites it).
 
@@ -253,11 +248,11 @@ def pcg(u, levels, rtol, r, work=None) -> int:
     returns the number of CG iterations, or MAX_CG if it misses the target or
     breaks down (r . z or p . A p not positive, as at large p).
 
-    work is the workspace (see the module docstring) for a solve that calls
-    pcg again on grids of u's shape; a fresh one when None.  pcg keeps in
-    it the search direction p, the preconditioned residual z, which also
-    holds the step alpha p until the V-cycle writes z, and the product A p,
-    and passes it to vcycle and apply.  It zeroes their boundaries on entry,
+    work is the workspace (see the module docstring), {} for a first call;
+    a solve passes the same one to each pcg call.  pcg keeps in it the
+    search direction p, the preconditioned residual z, which also holds the
+    step alpha p until the V-cycle writes z, and the product A p, and
+    passes it to vcycle and apply.  It zeroes their boundaries on entry,
     since a breakdown can leave them non-finite, so a call's result does
     not depend on the calls before it.
     """
@@ -265,8 +260,6 @@ def pcg(u, levels, rtol, r, work=None) -> int:
     rr = dot(r, r)
     if rr == 0.0:
         return 0
-    if work is None:
-        work = {}
     target = rtol * rtol * rr
     p, z, q = (_kernels.work_array(work, name, u.shape) for name in ("p", "z", "Ap"))
     for x in (p, z, q):

@@ -121,16 +121,16 @@ def cmd_exponent(args, cfg: CliConfig) -> int:
         print(f"wrote {path}")
         return EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
     nu, p = args.nu, args.p
-    k = radial_exponent(nu, p)
-    print(f"k = {_fmt(k)}")
+    # every requested value before any output: a refused request prints nothing
+    lines = [f"k = {_fmt(radial_exponent(nu, p))}"]
     if args.derivs:
-        print(f"dk/dnu = {_fmt(dk_dnu(nu, p))}")
+        lines.append(f"dk/dnu = {_fmt(dk_dnu(nu, p))}")
         if p != math.inf:
-            print(f"dk/dp = {_fmt(dk_dp(nu, p))}")
+            lines.append(f"dk/dp = {_fmt(dk_dp(nu, p))}")
     if args.roots:
         k1, k2 = radial_exponent_roots(nu, p)
-        print(f"k1 = {_fmt(k1)}")
-        print(f"k2 = {_fmt(k2)}")
+        lines += [f"k1 = {_fmt(k1)}", f"k2 = {_fmt(k2)}"]
+    print("\n".join(lines))
     return EXIT_OK
 
 

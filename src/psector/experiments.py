@@ -9,7 +9,7 @@ to JSON (machine checks) and CSV (plotting).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .exponent import (
 )
 from .measure import (
     FULL_ARC,
-    INNER_ARC,
     REGION_S2NU,
     REGION_SNU,
     SLOPE_WINDOW,
@@ -215,8 +214,9 @@ def measure_report(sol: MeasureSolution, slope_tol: float = 0.10, mc_check: bool
          "slope_tol": slope_tol, "r_window": list(SLOPE_WINDOW)},
         provenance={"seed": seed, "tolerance": pr.tol},
     )
-    rep.check("solver converged", sol.converged,
-              f"iterations {sol.iterations}, final residual {sol.final_residual:.2e}")
+    # a hand-built solution has no final residual
+    resid = "" if sol.final_residual is None else f", final residual {sol.final_residual:.2e}"
+    rep.check("solver converged", sol.converged, f"iterations {sol.iterations}{resid}")
     k = radial_exponent(pr.nu, pr.p)
     fit = fit_slope(sol)
     rel = abs(fit.exponent - k) / k
@@ -240,16 +240,13 @@ def measure_report(sol: MeasureSolution, slope_tol: float = 0.10, mc_check: bool
 
 
 def run_measure_experiment(nu: float, p: float, n_r: int = MeasureProblem.n_r,
-                           n_phi: int = MeasureProblem.n_phi, slope_tol: float = 0.10,
-                           mc_check: bool = False, seed: int = 0,
-                           n_walks: int = MC_WALKS) -> ExperimentReport:
+                           n_phi: int = MeasureProblem.n_phi,
+                           slope_tol: float = 0.10) -> ExperimentReport:
     """Solve the measure and return its measure_report; a grid too coarse
-    for the slope fit, and mc_check off p = 2, are refused before solving."""
+    for the slope fit is refused before solving."""
     problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
     require_slope_window(problem)
-    if mc_check:
-        require_mc_applicable(problem)
-    return measure_report(solve_measure(problem), slope_tol, mc_check, seed, n_walks)
+    return measure_report(solve_measure(problem), slope_tol)
 
 
 def growth_bounds_report(full: MeasureSolution, inner: MeasureSolution) -> ExperimentReport:
@@ -289,16 +286,6 @@ def growth_bounds_report(full: MeasureSolution, inner: MeasureSolution) -> Exper
     rep.rows.append({"nu": pr.nu, "p": pr.p, "k": k, "inner_ratio_min": lo_b,
                      "inner_ratio_max": hi_b})
     return rep
-
-
-def run_growth_bounds(nu: float, p: float, n_r: int = MeasureProblem.n_r,
-                      n_phi: int = MeasureProblem.n_phi) -> ExperimentReport:
-    """Solve the full-arc and inner-arc measures and return their
-    growth_bounds_report; a grid too coarse for the slope fit is refused unsolved."""
-    problem = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
-    require_slope_window(problem)
-    return growth_bounds_report(solve_measure(problem),
-                                solve_measure(replace(problem, arc_target=INNER_ARC)))
 
 
 def run_phragmen_check(nu: float, p: float) -> ExperimentReport:

@@ -347,7 +347,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         tol = pr.tol if stage == pr.p else max(100.0 * pr.tol, 1e-7)
         tau = 1.0
         capped_run = 0
-        mixing = stage < 2.0 and ANDERSON_DEPTH > 0
+        mixing = stage < 2.0
         work = {}  # the stage's pcg workspace
         if mixing:
             # Anderson history: column k holds f (and g) of a cycle minus

@@ -11,7 +11,7 @@ import psector
 from psector import measure
 from psector.cli import CliConfig, main
 from psector.exponent import DomainError
-from psector.experiments import MC_WALKS, run_measure_experiment
+from psector.experiments import MC_WALKS, measure_report
 from psector.profile import read_profile_csv
 
 
@@ -48,6 +48,18 @@ class TestExponentCommand:
         assert code == 0
         assert "dk/dnu = " in out and "dk/dp = " in out
         assert "k1 = 1.728713554" in out and "k2 = " in out
+
+    @pytest.mark.parametrize("argv, error", [
+        (("--nu", "0.5", "--p", "3", "--derivs"), "dk/dnu is singular at nu = 1/2"),
+        (("--nu", "0.5", "--p", "3", "--roots"), "nu = 1/2 requires the limit path"),
+        (("--nu", "2", "--p", "inf", "--derivs", "--roots"), "finite p only"),
+    ], ids=["derivs-half", "roots-half", "roots-inf"])
+    def test_refused_request_prints_nothing(self, capsys, argv, error):
+        # what is computed before the refusal, k at least, is not printed
+        code, out, err = run_cli(capsys, "exponent", *argv)
+        assert code == 2
+        assert out == ""
+        assert error in err
 
     def test_table_mode(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "exponent", "--table",
@@ -172,7 +184,8 @@ class TestMeasureCommand:
                              "--mc-check", "--out-dir", str(tmp_path))
         assert code == 0
         data = json.loads((tmp_path / "measure_1_2.json").read_text())
-        rep = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49, mc_check=True, seed=9)
+        sol = measure.solve_measure(measure.MeasureProblem(nu=1.0, p=2.0, n_r=48, n_phi=49))
+        rep = measure_report(sol, mc_check=True, seed=9)
         assert data["mc_agreement"] == [r for r in rep.rows if "mc" in r]
         # the fit and the certificate are the report's, as exact floats
         fit = next(r for r in rep.rows if "fitted" in r)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from psector import experiments, measure, verify
 from psector.exponent import DomainError
 from psector.experiments import (
     ExperimentReport,
+    growth_bounds_report,
     mc_agreement,
     measure_report,
     run_exponent_table,
-    run_growth_bounds,
     run_measure_experiment,
     run_phragmen_check,
     run_stream_consistency,
@@ -59,6 +60,17 @@ class TestMeasureExperiment:
         rep.write_json(tmp_path / "r.json")
         assert json.loads((tmp_path / "r.json").read_text())["rows"][1]["certificate"] is None
 
+    def test_hand_built_solution_fails_convergence(self):
+        # a planted field of exact decay k = 1 has no solve behind it, so no
+        # final residual: its report fails "solver converged" and nothing else
+        pr = MeasureProblem(nu=1.0, p=2.0, n_r=64, n_phi=64)
+        r, phi = measure._grids(pr)
+        sol = MeasureSolution(pr, r, phi, (r[:, None] / pr.R) * np.cos(phi)[None, :])
+        rep = measure_report(sol)
+        assert [c["name"] for c in rep.criteria if not c["passed"]] == ["solver converged"]
+        assert rep.criteria[0]["detail"] == "iterations 0"
+        assert rep.rows[0]["fitted"] == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("n", [64, 128])
     def test_narrowest_sector_field_is_positive(self, n):
         # at nu = 8 the field spans 1 to about (r/R)^8 = 1e-24; the p = 2
@@ -72,8 +84,8 @@ class TestMeasureExperiment:
         assert rep.passed, rep.first_failure()
 
     def test_mc_block(self):
-        rep = run_measure_experiment(1.0, 2.0, n_r=96, n_phi=97, slope_tol=0.05,
-                                     mc_check=True, seed=5, n_walks=20000)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=96, n_phi=97))
+        rep = measure_report(sol, 0.05, mc_check=True, seed=5, n_walks=20000)
         assert rep.passed, rep.first_failure()
         assert any("mc" in row for row in rep.rows)
 
@@ -87,23 +99,14 @@ class TestMeasureExperiment:
         for a, b in zip(rows[1.0], rows[2.0]):
             assert b["solver"] == pytest.approx(a["solver"], rel=1e-9)
 
-    def test_mc_check_rejects_p_before_solving(self, monkeypatch):
-        def no_solve(problem):
-            raise AssertionError("solved before the p check")
-
-        monkeypatch.setattr(experiments, "solve_measure", no_solve)
-        with pytest.raises(DomainError, match="p = 2 only"):
-            run_measure_experiment(1.0, 3.0, n_r=48, n_phi=49, mc_check=True)
-
-    @pytest.mark.parametrize("run", [run_measure_experiment, run_growth_bounds])
-    def test_slope_window_checked_before_solving(self, monkeypatch, run):
+    def test_slope_window_checked_before_solving(self, monkeypatch):
         def no_solve(problem):
             raise AssertionError("solved a grid whose slope fit must fail")
 
         monkeypatch.setattr(experiments, "solve_measure", no_solve)
         with pytest.raises(DomainError, match="fewer than 8"):
             # 16 radii from 1e-3 R to R put 5 inside the slope window
-            run(1.0, 2.0, n_r=16, n_phi=97)
+            run_measure_experiment(1.0, 2.0, n_r=16, n_phi=97)
 
     def test_settings_come_from_measure(self):
         # the report states the window and solver settings actually used
@@ -120,7 +123,9 @@ class TestMeasureExperiment:
 
 class TestGrowthBounds:
     def test_certificates(self):
-        rep = run_growth_bounds(2.0, 3.0, n_r=96, n_phi=97)
+        pr = MeasureProblem(nu=2.0, p=3.0, n_r=96, n_phi=97)
+        rep = growth_bounds_report(solve_measure(pr),
+                                   solve_measure(replace(pr, arc_target=measure.INNER_ARC)))
         assert rep.passed, rep.first_failure()
 
 
@@ -137,11 +142,13 @@ class TestMeasureSuite:
         reports = verify.measure_suite(quick=True)
         assert len(solved) == len(set(solved)) == 3
         monkeypatch.undo()
-        # the same reports as the drivers that solve their own problems
-        want = [run_measure_experiment(nu, p, n_r=128, n_phi=128, slope_tol=tol,
-                                       mc_check=p == 2.0, n_walks=20000)
+        # the same reports as from a fresh solve of each problem
+        want = [measure_report(solve_measure(MeasureProblem(nu=nu, p=p, n_r=128, n_phi=128)),
+                               tol, mc_check=p == 2.0, n_walks=20000)
                 for nu, p, tol in verify.MEASURE_CASES if (nu, p) in ((1.0, 2.0), (2.0, 3.0))]
-        want.append(run_growth_bounds(2.0, 3.0, n_r=128, n_phi=128))
+        pr = MeasureProblem(nu=2.0, p=3.0, n_r=128, n_phi=128)
+        want.append(growth_bounds_report(
+            solve_measure(pr), solve_measure(replace(pr, arc_target=measure.INNER_ARC))))
         assert [r.__dict__ for r in reports] == [r.__dict__ for r in want]
 
 
@@ -228,8 +235,6 @@ class TestReportSerialization:
         assert lines == ["nu,k,ratio_min,certificate", "1.0,1.0,,", "2.0,,0.5,", "3.0,,,ok"]
 
     def test_mc_experiment_deterministic(self):
-        r1 = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49, mc_check=True,
-                                    seed=9, n_walks=5000)
-        r2 = run_measure_experiment(1.0, 2.0, n_r=48, n_phi=49, mc_check=True,
-                                    seed=9, n_walks=5000)
+        r1, r2 = (measure_report(solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=48, n_phi=49)),
+                                 mc_check=True, seed=9, n_walks=5000) for _ in range(2))
         assert r1.rows == r2.rows

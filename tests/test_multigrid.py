@@ -194,7 +194,7 @@ def test_vcycle_is_symmetric_positive(shape):
     levels = _multigrid.hierarchy(*edge_coefficients(shape, seed=0))
     rng = np.random.default_rng(1)
     x, y = interior_noise(shape, rng), interior_noise(shape, rng)
-    Mx, My = _multigrid.vcycle(levels, x), _multigrid.vcycle(levels, y)
+    Mx, My = (_multigrid.vcycle(levels, v, {}, np.zeros(shape)) for v in (x, y))
     assert np.all(Mx[[0, -1], :] == 0.0) and np.all(Mx[:, [0, -1]] == 0.0)
     xMy, yMx = _multigrid.dot(x, My), _multigrid.dot(y, Mx)
     assert abs(xMy - yMx) <= 1e-12 * abs(xMy)
@@ -214,7 +214,7 @@ def test_cg_reaches_its_residual_target(shape, coefficients, rtol):
     edges = (u[0, :].copy(), u[-1, :].copy(), u[:, 0].copy(), u[:, -1].copy())
     r0 = np.linalg.norm(reference_residual(u, cE, cN))
     res, _ = _multigrid.residual(cE, cN, u)
-    its = _multigrid.pcg(u, _multigrid.hierarchy(cE, cN), rtol, res)
+    its = _multigrid.pcg(u, _multigrid.hierarchy(cE, cN), rtol, res, {})
     assert 0 < its < _multigrid.MAX_CG
     assert np.linalg.norm(reference_residual(u, cE, cN)) <= rtol * r0
     for before, after in zip(edges, (u[0, :], u[-1, :], u[:, 0], u[:, -1])):
@@ -251,7 +251,7 @@ def test_vcycle_matches_the_reference_bitwise():
         x[[0, -1]] = x[:, [0, -1]] = 0.0
         assert _multigrid.vcycle(levels, r, work, x) is x
         assert np.array_equal(x, reference_vcycle(levels, r))
-        assert np.array_equal(_multigrid.vcycle(levels, r), x)
+        assert np.array_equal(_multigrid.vcycle(levels, r, {}, np.zeros(shape)), x)
 
 
 def test_pcg_ignores_what_a_breakdown_left():
@@ -266,7 +266,7 @@ def test_pcg_ignores_what_a_breakdown_left():
         work[name, shape].fill(value)
     u, levels, r = warm_start(shape, 2)
     want_u = u.copy()
-    want = _multigrid.pcg(want_u, levels, 1e-2, r.copy())
+    want = _multigrid.pcg(want_u, levels, 1e-2, r.copy(), {})
     assert _multigrid.pcg(u, levels, 1e-2, r, work) == want
     assert np.array_equal(u, want_u)
 
@@ -300,7 +300,7 @@ def test_exact_on_a_single_level():
     levels = _multigrid.hierarchy(cE, cN)
     u = np.random.default_rng(5).random((8, 8))
     assert len(levels) == 1
-    assert _multigrid.pcg(u, levels, 1e-10, _multigrid.residual(cE, cN, u)[0]) == 1
+    assert _multigrid.pcg(u, levels, 1e-10, _multigrid.residual(cE, cN, u)[0], {}) == 1
 
 
 @pytest.mark.parametrize("shape", SHAPES + [(8, 8), (13, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
@@ -370,7 +370,7 @@ def test_cg_breakdown_returns_max_cg():
     u = np.random.default_rng(11).random((8, 8))
     before = u.copy()
     res, _ = _multigrid.residual(-cE, -cN, u)
-    assert _multigrid.pcg(u, levels, 1e-10, res) == _multigrid.MAX_CG
+    assert _multigrid.pcg(u, levels, 1e-10, res, {}) == _multigrid.MAX_CG
     assert np.array_equal(u, before)
 
 
@@ -435,7 +435,7 @@ def test_cg_iterations_do_not_grow_with_nu():
         levels, cg = _multigrid.hierarchy(cE, cN), []
         res, resid = _multigrid.residual(cE, cN, u)
         while resid > pr.tol:
-            cg.append(_multigrid.pcg(u, levels, CG_RTOL, res))
+            cg.append(_multigrid.pcg(u, levels, CG_RTOL, res, {}))
             res, resid = _multigrid.residual(cE, cN, u)
         assert len(cg) > 1 and max(cg) <= 5, (nu, cg)
         sol = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=128, n_phi=128))
