@@ -10,9 +10,12 @@ of the grid, with Dirichlet data on rows and columns 0 and -1:
 cE[i, j] couples nodes (i, j) and (i + 1, j), cN[i, j] nodes (i, j) and
 (i, j + 1).  Both solvers work in place from u and its residual
 r = residual(cE, cN, u)[0].  At p = 2 the coefficients are constant along
-phi and sine_solve(u, cE, cN, r) solves directly: a DST-I in phi, one
-tridiagonal solve in r per sine mode, and the inverse DST-I.  At p != 2
-hierarchy(cE, cN) builds the levels once per cycle and
+phi and sine_solve(u, cE, cN, r) solves directly, on the full grid: a DST-I
+in phi, one tridiagonal solve in r per sine mode, and the inverse DST-I.  At
+p != 2 the system is that of the mirror half of the grid (measure._fold):
+column 0 is the mirror column, whose edges cN[:, 0] are 0, so no flux
+crosses it, column 1 is the axis or the first column past it, and column -1
+the wall.  hierarchy(cE, cN) builds the levels once per cycle and
 pcg(u, levels, rtol, r, work) solves, warm-started.  Every level, its
 operator (apply) and its smoother (_kernels.sor_system) use this one edge
 layout; the finest level holds the caller's cE and cN, not copies.
@@ -20,16 +23,22 @@ layout; the finest level holds the caller's cE and cN, not copies.
 Each coarser level halves an axis, keeping the even-index nodes and the last
 one, and stays a 5-point operator: along a coarsened axis two fine edges
 combine in series, across it the edges of the three fine rows around a coarse
-row are summed with weights (1/2, 1, 1/2).  Which axes a level halves is
-chosen from its own coefficients (semicoarsening): only phi when the mean
-angular coupling is at least ANISOTROPY times the mean radial one, only r in
-the mirror case, both otherwise, and in every case only an axis with more
-than COARSEST nodes.  The polar grid's angular couplings outweigh the radial
+row are summed with weights (1/2, 1, 1/2).  Along phi every level carries the
+mirror column and its zero edges unchanged and halves the columns from 1 on,
+so column 1 is a node of every level; halving from column 0 would make
+column 1 an interpolated node next to a column that takes no correction,
+which took 13 to 18 CG iterations per cycle at 256^2, against 2 to 4.
+Which axes a level halves is chosen from its own coefficients
+(semicoarsening): only phi when the mean angular coupling is at least
+ANISOTROPY times the mean radial one, only r in the converse case, both
+otherwise, and in every case only an axis with more than COARSEST nodes, a
+half-grid level of n_phi columns counting as the 2 (n_phi - 1) of the full
+grid it stands for.  The polar grid's angular couplings outweigh the radial
 ones by a factor growing as nu^2, an anisotropy that a point smoother cannot
-damp under full coarsening; a few semicoarsened levels bring it back to order
-one.
+damp under full coarsening; a few semicoarsened levels bring it back to
+order one.
 The transfers are linear interpolation and its transpose, and the coarsest
-level, at most COARSEST nodes per side, is solved with a dense inverse.
+level is solved with a dense inverse.
 Every level but the coarsest is smoothed by one red-black Gauss-Seidel sweep
 (_kernels.sor_sweep) before the coarse correction and one in the reverse
 colour order after it, so the V-cycle is a symmetric positive definite
@@ -62,7 +71,10 @@ import numpy as np
 
 from . import _kernels
 
-COARSEST = 12  # nodes per side at which an axis is no longer coarsened
+# nodes per side, on the full grid, at which an axis is no longer coarsened.
+# Of (2, 10) and (3, 8) at 64^2 and (1, 10) and (4, 6) at 128^2, 12 caps CG
+# on (4, 6), and 17 and 24 converge all four
+COARSEST = 17
 # a level halves only its strongly coupled axis when the mean coupling along
 # it is at least this many times the other's: point Gauss-Seidel smooths the
 # error only along the strong axis.  Halving one axis divides the ratio by 4,
@@ -91,45 +103,67 @@ def _at(axis, index):
     return (slice(None),) * axis + (index,)
 
 
+def _tail(x, axis):
+    """What a transfer along the axis coarsens: all of x along r, and along
+    phi every column but the mirror column 0."""
+    return x[:, 1:] if axis == 1 else x
+
+
 def _restrict(x, axis, out=None, work=None):
-    """Transpose of _prolong along one axis: n nodes to n // 2 + 1, into out."""
-    n = x.shape[axis]
-    m = (n + 1) // 2  # coarse nodes at even fine indices; for even n, n - 1 is one more
+    """Transpose of _prolong along one axis, into out: n nodes to n // 2 + 1
+    along r; along phi column 0 is carried and the n - 1 after it halved."""
     if out is None:
         shape = list(x.shape)
-        shape[axis] = n // 2 + 1
+        n = _tail(x, axis).shape[axis]
+        shape[axis] += n // 2 + 1 - n
         out = np.empty(shape)
-    out[_at(axis, slice(0, m))] = x[_at(axis, slice(0, n, 2))]
+    if axis == 1:
+        out[:, 0] = x[:, 0]
+    x, coarse = _tail(x, axis), _tail(out, axis)
+    n = x.shape[axis]
+    m = (n + 1) // 2  # coarse nodes at even fine indices; for even n, n - 1 is one more
+    coarse[_at(axis, slice(0, m))] = x[_at(axis, slice(0, n, 2))]
     if n % 2 == 0:
-        out[_at(axis, m)] = x[_at(axis, n - 1)]
+        coarse[_at(axis, m)] = x[_at(axis, n - 1)]
     odd = x[_at(axis, slice(1, 2 * m - 2, 2))]
     half = np.multiply(odd, 0.5, out=_kernels.work_array(work, "half", odd.shape))
-    out[_at(axis, slice(0, m - 1))] += half
-    out[_at(axis, slice(1, m))] += half
+    coarse[_at(axis, slice(0, m - 1))] += half
+    coarse[_at(axis, slice(1, m))] += half
     return out
 
 
-def _prolong(xc, axis, n, out):
-    """Linear interpolation along one axis: n // 2 + 1 nodes to n, into out."""
+def _prolong(xc, axis, out):
+    """Linear interpolation along one axis, into out: n // 2 + 1 nodes to
+    n along r; along phi column 0 is carried and the rest interpolated."""
+    if axis == 1:
+        out[:, 0] = xc[:, 0]
+    xc, fine = _tail(xc, axis), _tail(out, axis)
+    n = fine.shape[axis]
     m = (n + 1) // 2
-    out[_at(axis, slice(0, n, 2))] = xc[_at(axis, slice(0, m))]
+    fine[_at(axis, slice(0, n, 2))] = xc[_at(axis, slice(0, m))]
     if n % 2 == 0:
-        out[_at(axis, n - 1)] = xc[_at(axis, m)]
-    mid = out[_at(axis, slice(1, 2 * m - 2, 2))]
+        fine[_at(axis, n - 1)] = xc[_at(axis, m)]
+    mid = fine[_at(axis, slice(1, 2 * m - 2, 2))]
     np.add(xc[_at(axis, slice(0, m - 1))], xc[_at(axis, slice(1, m))], out=mid)
     mid *= 0.5
     return out
 
 
-def _series(c, axis, n):
-    """Edges between n nodes along an axis, combined in series onto the coarse nodes."""
+def _series(c, axis):
+    """Edges along an axis, combined in series onto the coarse nodes; along
+    phi the mirror edge, column 0, is carried.  Two zero edges, as on the
+    mirror column of an odd-width half grid, combine to 0."""
+    parts = [c[:, :1]] if axis == 1 else []
+    c = _tail(c, axis)
+    n = c.shape[axis] + 1  # nodes
     m = (n + 1) // 2
     a = c[_at(axis, slice(0, 2 * m - 2, 2))]
     b = c[_at(axis, slice(1, 2 * m - 2, 2))]
-    out = a * b / (a + b)
+    total = a + b
+    parts.append(np.divide(a * b, total, out=np.zeros_like(total), where=total > 0.0))
     if n % 2 == 0:  # the last coarse edge is the single fine edge n - 2
-        out = np.concatenate([out, c[_at(axis, slice(n - 2, n - 1))]], axis=axis)
-    return out
+        parts.append(c[_at(axis, slice(n - 2, n - 1))])
+    return np.concatenate(parts, axis=axis)
 
 
 def _level(cE, cN, coarsest):
@@ -151,13 +185,16 @@ def _level(cE, cN, coarsest):
 def hierarchy(cE, cN) -> list:
     """Levels of the frozen system, finest first.
 
-    cE has shape (n_r - 1, n_phi) and cN (n_r, n_phi - 1), both positive;
-    n_r, n_phi >= 3.  The finest level holds cE and cN themselves.
+    cE has shape (n_r - 1, n_phi) and cN (n_r, n_phi - 1), both positive
+    but for the mirror edges cN[:, 0], which are 0, and cE[:, 0], which the
+    operator does not read and may be 0; n_r, n_phi >= 3.  The finest level
+    holds cE and cN themselves.
     """
     levels = []
     while True:
         n_r, n_phi = cN.shape[0], cE.shape[1]
-        coarsen_r, coarsen_phi = n_r > COARSEST, n_phi > COARSEST
+        # a half-grid level of n_phi columns spans 2 (n_phi - 1) full-grid ones
+        coarsen_r, coarsen_phi = n_r > COARSEST, 2 * (n_phi - 1) > COARSEST
         if coarsen_r and coarsen_phi:
             e, n = cE.mean(), cN.mean()
             coarsen_r, coarsen_phi = n < ANISOTROPY * e, e < ANISOTROPY * n
@@ -165,37 +202,54 @@ def hierarchy(cE, cN) -> list:
         if levels[-1].inverse is not None:
             return levels
         if coarsen_r:
-            cE, cN = _series(cE, 0, n_r), _restrict(cN, 0)
+            cE, cN = _series(cE, 0), _restrict(cN, 0)
         if coarsen_phi:
-            cE, cN = _restrict(cE, 1), _series(cN, 1, n_phi)
+            cE, cN = _restrict(cE, 1), _series(cN, 1)
 
 
 def apply(cE, cN, x, out=None, work=None):
     """The operator of cE and cN on x, at the interior nodes; 0 on the boundary.
 
     Boundary values of x enter as the Dirichlet data of the neighbours.  A
-    given out has its interior overwritten and its boundary left as it is.
+    given out is overwritten.
+
+    Every difference and sum runs over the raveled field, which is
+    contiguous: numpy copies a 2-D operand whose rows are offset views of
+    one array through its iterator buffers, at about twice the cost.  A
+    raveled angular difference x[i, j + 1] - x[i, j] wraps from the end of
+    one row to the start of the next, and the interior rows' raveled sums
+    cover their boundary columns; both land on the boundary columns only,
+    which are zeroed at the end.  The interior equals the 2-D form's bit for
+    bit: the same subtractions, products and sums in the same order.
     """
     if out is None:
-        out = np.zeros_like(x)
-    inner = out[1:-1, 1:-1]
+        out = np.empty_like(x)
+    n, size = x.shape[1], x.size
+    flat, inner = x.reshape(-1), out.reshape(-1)[n:size - n]
     # the radial, then the angular edge fluxes, one after the other in one
     # array of x's size
-    flux = _kernels.work_array(work, "flux", (x.size,))
-    fr = np.subtract(x[1:], x[:-1], out=flux[:cE.size].reshape(cE.shape))
-    fr *= cE
-    np.subtract(fr[:-1, 1:-1], fr[1:, 1:-1], out=inner)
-    fa = np.subtract(x[:, 1:], x[:, :-1], out=flux[:cN.size].reshape(cN.shape))
-    fa *= cN
-    inner += fa[1:-1, :-1]
-    inner -= fa[1:-1, 1:]
+    flux = _kernels.work_array(work, "flux", (size,))
+    fr = np.subtract(flat[n:], flat[:-n], out=flux[:cE.size])
+    fr *= cE.reshape(-1)
+    np.subtract(fr[:-n], fr[n:], out=inner)
+    fa = np.subtract(flat[1:], flat[:-1], out=flux[:size - 1])
+    flux.reshape(x.shape)[:, :-1] *= cN  # the wrapped column stays unscaled
+    inner += fa[n - 1:size - n - 1]
+    inner -= fa[n:size - n]
+    out[[0, -1]] = 0.0
+    out[:, [0, -1]] = 0.0
     return out
 
 
-def residual(cE, cN, u):
+def residual(cE, cN, u, axis_weight=1.0):
     """(b - A u, ||b - A u||_2 / ||b||_2) for the frozen system of cE and cN,
     b what the boundary values of u contribute; ||b|| is formed on the four
-    lines next to the boundary, where b lives.  Needs 4 nodes per side."""
+    lines next to the boundary, where b lives.  Needs 4 nodes per side.
+
+    Both norms weight the squares on column 1 by axis_weight: 2 on the mirror
+    half of a grid of odd width, whose column 1 is the axis and carries half
+    of each full-grid equation there, so that the ratio is the full grid's.
+    """
     r = apply(cE, cN, u)
     np.negative(r, out=r)
     # b on rows 1 and -2, then on columns 1 and -2; a corner node takes both
@@ -203,7 +257,13 @@ def residual(cE, cN, u):
     cols = cN[1:-1, [0, -1]] * u[1:-1, [0, -1]]
     rows[:, [0, -1]] += cols[[0, -1]]
     cols = cols[1:-1]
-    return r, math.sqrt(dot(r, r) / (dot(rows, rows) + dot(cols, cols)))
+    rr, bb = dot(r, r), dot(rows, rows) + dot(cols, cols)
+    if axis_weight != 1.0:
+        extra = axis_weight - 1.0
+        rr += extra * float(np.einsum("i,i->", r[:, 1], r[:, 1]))
+        bb += extra * float(np.einsum("i,i->", rows[:, 0], rows[:, 0])
+                            + np.einsum("i,i->", cols[:, 0], cols[:, 0]))
+    return r, math.sqrt(rr / bb)
 
 
 def vcycle(levels, f, work, x, depth=0):
@@ -231,9 +291,9 @@ def vcycle(levels, f, work, x, depth=0):
         res = _restrict(res, 1, _kernels.work_array(work, "restrict_phi", coarse), work)
     xc = vcycle(levels, res, work, _kernels.work_array(work, "x", coarse), depth + 1)
     if coarse[1] < n_phi:
-        xc = _prolong(xc, 1, n_phi, _kernels.work_array(work, "prolong_phi", (coarse[0], n_phi)))
+        xc = _prolong(xc, 1, _kernels.work_array(work, "prolong_phi", (coarse[0], n_phi)))
     if coarse[0] < n_r:
-        xc = _prolong(xc, 0, n_r, _kernels.work_array(work, "prolong_r", f.shape))
+        xc = _prolong(xc, 0, _kernels.work_array(work, "prolong_r", f.shape))
     x += xc
     _kernels.sor_sweep(x, level.system, f, (1, 0), work)
     return x

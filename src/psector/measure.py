@@ -13,7 +13,10 @@ in r and phi, and one direct solve (_multigrid.sine_solve) converges the stage
 in one cycle.  At p != 2 the solve is warm-started conjugate gradients
 preconditioned with one geometric-multigrid V-cycle per step (_multigrid), to
 CG_RTOL times the cycle's starting residual.  For p <= 2 the frozen quadratic
-majorizes the energy, so no cycle raises it.
+majorizes the energy, so no cycle raises it.  The sector and the arc data
+are even in phi, and so is the strictly convex energy's unique minimizer:
+every p != 2 stage runs on the mirror half of the grid (_fold), from the
+axis to one wall, and the field is reflected back at return (_unfold).
 Around the plain Picard loop: continuation in p from the linear problem
 (steps of at most 1, warm-started); in p > 2 stages, adaptive damping of the
 Picard step triggered by the one observed instability signature, period-2
@@ -242,7 +245,7 @@ def _boundary_data(problem: MeasureProblem, phi: np.ndarray) -> np.ndarray:
     return arc
 
 
-def _cell_energy(u, r, dphi, p, eps2, coefficients=True):
+def _cell_energy(u, r, dphi, p, eps2, coefficients=True, mirror=None):
     """Energy E of u at exponent p and the edge coefficients frozen at u.
 
     Cell c lies between radii i, i + 1 and angles j, j + 1 and has area
@@ -253,6 +256,16 @@ def _cell_energy(u, r, dphi, p, eps2, coefficients=True):
     its one or two cells, divided by its squared length, hr^2 or (r dphi)^2:
     the frozen operator (_multigrid.apply) is the gradient of E at u.
     Returns (E, cE, cN) in the shapes hierarchy takes, or E without coefficients.
+
+    mirror is None on the full grid.  On the mirror half (_fold) it is the
+    full grid's n_phi % 2, and column 0 of u holds the mirror image of column
+    1 + mirror.  The cells between columns 0 and 1 then weigh 1/2 in the
+    energy and 1 in the coefficients for even n_phi, where each lies across
+    the axis and is its own mirror image, and 0 in both for odd n_phi, where
+    they mirror the cells between columns 1 and 2.  cN[:, 0] is 0, and E is
+    doubled: the full grid's energy.  The frozen system's equations are then
+    the full grid's on columns 1 and on, but for odd n_phi on column 1, the
+    axis, where they are halved (_multigrid.residual's axis_weight).
     """
     hr, ha = np.diff(r), r * dphi
     dr2 = (np.diff(u, axis=0) / hr[:, None]) ** 2
@@ -261,8 +274,14 @@ def _cell_energy(u, r, dphi, p, eps2, coefficients=True):
     del dr2, da2
     area = 0.5 * (r[1:] + r[:-1]) * hr * dphi
     w = g ** (0.5 * (p - 2.0))
+    if mirror == 1:
+        w[:, 0] = 0.0
     g *= w
+    if mirror == 0:
+        g[:, 0] *= 0.5
     energy = float(np.einsum("i,ij->", area, g)) / p
+    if mirror is not None:
+        energy *= 2.0
     if not coefficients:
         return energy
     del g  # not held through the coefficients or the solve
@@ -275,7 +294,24 @@ def _cell_energy(u, r, dphi, p, eps2, coefficients=True):
     cN[1:] = w
     cN[:-1] += w
     cN /= (ha * ha)[:, None]
+    if mirror is not None:
+        cN[:, 0] = 0.0
     return energy, cE, cN
+
+
+def _fold(u):
+    """The mirror half of a field even in phi: column 0 the mirror column, a
+    copy of column 1 + n_phi % 2, then the columns from the axis, or from
+    the first column past it, to the wall."""
+    n_phi = u.shape[1]
+    half = u[:, n_phi // 2 - 1:].copy()
+    half[:, 0] = half[:, 1 + n_phi % 2]
+    return half
+
+
+def _unfold(half, n_phi):
+    """The full field of n_phi columns whose mirror half is half."""
+    return np.concatenate([half[:, :n_phi % 2:-1], half[:, 1:]], axis=1)
 
 
 def _anderson_mix(g, f, dF, dG):
@@ -318,6 +354,15 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     (_multigrid) for all its cycles, so the CG and V-cycle work arrays are
     allocated once per stage.
 
+    The p = 2 stage runs on the full grid.  Before the first p != 2 stage
+    the iterate is folded once onto the mirror half (_fold), and every p != 2
+    stage runs there, on _cell_energy's half-grid system: after each linear
+    solve the mirror column copies its image again, and the returned field is
+    reflected back (_unfold), so it equals its mirror image bit for bit.  The
+    half grid's residual is the full grid's: its equations are the full
+    grid's, but for odd n_phi on the axis column, which carries half of each
+    and whose squares the check weighs 2 (_multigrid.residual's axis_weight).
+
     final_residual is that residual at the returned field with the problem's
     p: the last check's, evaluated once more if the solve stops in an earlier
     stage.  converged holds exactly when it is at most tol.
@@ -334,6 +379,8 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
 
     eps2 = pr.eps_reg**2
     cycles = []
+    # None while u is the full grid, n_phi % 2 once it is the mirror half
+    mirror, axis_weight = None, 1.0
     # continuation in p from the linear case, stepping by at most 1, so the
     # strongly nonlinear stages start from a nearby solution and the
     # coefficient spikes of a cold p > 2 start never form
@@ -344,6 +391,10 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         # the last stage's step and frozen system are dropped before this
         # stage assembles its own
         du_prev = state = res = uold = du = None
+        if stage != 2.0 and mirror is None:
+            mirror = pr.n_phi % 2
+            axis_weight = 2.0 if mirror else 1.0
+            u = _fold(u)
         tol = pr.tol if stage == pr.p else max(100.0 * pr.tol, 1e-7)
         tau = 1.0
         capped_run = 0
@@ -358,9 +409,9 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             dG = np.empty_like(dF)
             cols = head = 0
         # the frozen system (energy, cE, cN) at the current iterate
-        state = _cell_energy(u, r, dphi, stage, eps2)
+        state = _cell_energy(u, r, dphi, stage, eps2, mirror=mirror)
         for it in itertools.count():
-            res, resid = _multigrid.residual(*state[1:], u)
+            res, resid = _multigrid.residual(*state[1:], u, axis_weight)
             stop = None
             if resid <= tol:
                 stop = "converged"
@@ -379,6 +430,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 # the cycle's levels are freed when pcg returns, and their
                 # finest cE and cN with state
                 cg = _multigrid.pcg(u, _multigrid.hierarchy(*state[1:]), CG_RTOL, res, work)
+                u[:, 0] = u[:, 1 + mirror]  # the mirror column follows its image
                 del state
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
@@ -394,8 +446,8 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                     # taken only if it does not raise the energy above g's
                     mixed = _anderson_mix(g, du, dF[:cols], dG[:cols])
                     np.clip(mixed, 0.0, 1.0, out=mixed)
-                    trial = _cell_energy(mixed, r, dphi, stage, eps2)
-                    state = _cell_energy(g, r, dphi, stage, eps2)
+                    trial = _cell_energy(mixed, r, dphi, stage, eps2, mirror=mirror)
+                    state = _cell_energy(g, r, dphi, stage, eps2, mirror=mirror)
                     taken = trial[0] <= state[0]
                     if taken:
                         u, state = mixed, trial
@@ -424,17 +476,18 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
             if stage == 2.0:  # the coefficients depend on the grid alone
                 state = (_cell_energy(u, r, dphi, stage, eps2, False),) + state[1:]
             elif taken is None:  # else the mixing test formed it
-                state = _cell_energy(u, r, dphi, stage, eps2)
+                state = _cell_energy(u, r, dphi, stage, eps2, mirror=mirror)
         if stop != "converged":
             break
     if stage != pr.p:
         # stopped in an intermediate stage: the residual of the problem's p
-        resid = _multigrid.residual(*_cell_energy(u, r, dphi, pr.p, eps2)[1:], u)[1]
+        state = _cell_energy(u, r, dphi, pr.p, eps2, mirror=mirror)
+        resid = _multigrid.residual(*state[1:], u, axis_weight)[1]
     return MeasureSolution(
         problem=pr,
         r=r,
         phi=phi,
-        omega=u,
+        omega=u if mirror is None else _unfold(u, pr.n_phi),
         stop_reason=stop,
         cycles=cycles,
         final_residual=resid,

@@ -283,9 +283,9 @@ class TestSolveMeasure:
         # first cycle assembles them, and every later check forms the energy
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[5] if len(args) > 5 else True)
-            return _cell_energy(*args)
+            return _cell_energy(*args, **kwargs)
 
         monkeypatch.setattr(measure, "_cell_energy", counted)
         sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=48, n_phi=48))
@@ -304,11 +304,11 @@ class TestSolveMeasure:
             refs.append(weakref.ref(levels[0].system[0][0][5]))
             return levels
 
-        def released(u, r, dphi, q, eps2, coefficients=True):
+        def released(u, r, dphi, q, eps2, coefficients=True, mirror=None):
             if q != 2.0:
                 assert all(ref() is None for ref in refs), [ref() is None for ref in refs]
                 checked.append(len(refs))
-            return energy(u, r, dphi, q, eps2, coefficients)
+            return energy(u, r, dphi, q, eps2, coefficients, mirror)
 
         monkeypatch.setattr(_multigrid, "hierarchy", recorded)
         monkeypatch.setattr(measure, "_cell_energy", released)
@@ -515,11 +515,11 @@ class TestSolveMeasure:
             fits.append(fit_slope(sol).exponent)
         assert abs(fits[1] - fits[0]) / abs(fits[0]) <= 0.01
 
-    @pytest.mark.parametrize("nu, p", [(2.0, 10.0), (3.0, 8.0)])
+    @pytest.mark.parametrize("nu, p", [(2.0, 10.0), (3.0, 8.0), (4.0, 6.0)])
     def test_large_p_converges_without_capped_cg(self, nu, p):
-        # 208 and 133 cycles at 64^2, at most 3 CG iterations each.  Both stop
-        # on cg_capped with a 3 x 3 coarsest level in place of the dense
-        # solve, and with full coarsening in place of the anisotropy rule
+        # 194, 134 and 82 cycles at 64^2, at most 4 CG iterations each.  With
+        # full coarsening in place of the anisotropy rule (3, 8) and (4, 6)
+        # have capped solves; with COARSEST 12, (4, 6) at 128^2 does
         sol = solve_measure(MeasureProblem(nu=nu, p=p, n_r=64, n_phi=64))
         assert sol.converged and sol.cg_capped == 0
 
@@ -531,6 +531,59 @@ class TestSolveMeasure:
             assert sol.converged
             fits.append(fit_slope(sol).exponent)
         assert abs(fits[1] - fits[0]) / abs(fits[0]) <= 0.02
+
+
+FOLD_CASES = [(2.0, 3.0, 64, 64), (2.0, 3.0, 64, 65), (1.0, 1.5, 64, 64), (1.0, 1.5, 64, 65)]
+FOLD_IDS = [f"{nu:g}-{p:g}-{n_r}x{n_phi}" for nu, p, n_r, n_phi in FOLD_CASES]
+
+
+class TestMirrorHalf:
+    """Every p != 2 stage runs on the mirror half of the grid (_fold): for
+    even n_phi the axis lies between two columns, for odd n_phi on one."""
+
+    @pytest.fixture(scope="class", params=FOLD_CASES, ids=FOLD_IDS)
+    def folded_sol(self, request):
+        nu, p, n_r, n_phi = request.param
+        return solve_measure(MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi))
+
+    def test_field_is_its_mirror_image(self, folded_sol):
+        assert folded_sol.converged
+        assert np.array_equal(folded_sol.omega, folded_sol.omega[:, ::-1])
+
+    def test_final_residual_is_the_full_grid_residual(self, folded_sol):
+        # the stop test's residual, on the half grid with an odd grid's axis
+        # column weighted, is that of the full grid's system at omega
+        want = reference_relative_residual(folded_sol)
+        assert folded_sol.final_residual == pytest.approx(want, rel=1e-12)
+        assert folded_sol.final_residual <= folded_sol.problem.tol
+
+    @pytest.mark.parametrize("nu, p, n_r, n_phi", FOLD_CASES, ids=FOLD_IDS)
+    def test_half_system_is_the_full_system(self, nu, p, n_r, n_phi):
+        # at a random even field the doubled half-grid energy is the full
+        # grid's, and the half-grid operator is the full grid's on columns 1
+        # and on, halved on an odd grid's axis column
+        pr = MeasureProblem(nu=nu, p=p, n_r=n_r, n_phi=n_phi)
+        r, phi = _grids(pr)
+        dphi, eps2 = phi[1] - phi[0], pr.eps_reg**2
+        u = np.random.default_rng(16).random((n_r, n_phi))
+        u = 0.5 * (u + u[:, ::-1])
+        full, cE, cN = _cell_energy(u, r, dphi, p, eps2)
+        half = measure._fold(u)
+        energy, hE, hN = _cell_energy(half, r, dphi, p, eps2, mirror=n_phi % 2)
+        assert energy == pytest.approx(full, rel=1e-12)
+        assert energy == _cell_energy(half, r, dphi, p, eps2, False, n_phi % 2)
+        want = _multigrid.apply(cE, cN, u)[:, n_phi // 2:]
+        if n_phi % 2:
+            want[:, 0] *= 0.5
+        got = _multigrid.apply(hE, hN, half)[:, 1:]
+        assert np.allclose(got[1:-1, :-1], want[1:-1, :-1], rtol=1e-12,
+                           atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n_phi", [64, 65])
+    def test_unfold_inverts_fold(self, n_phi):
+        u = np.random.default_rng(17).random((8, n_phi))
+        u = 0.5 * (u + u[:, ::-1])
+        assert np.array_equal(measure._unfold(measure._fold(u), n_phi), u)
 
 
 def plain_picard(problem, monkeypatch):

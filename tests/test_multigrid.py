@@ -11,6 +11,7 @@ from psector.measure import (
     MeasureProblem,
     _boundary_data,
     _cell_energy,
+    _fold,
     _grids,
     solve_measure,
 )
@@ -18,23 +19,30 @@ from psector.measure import (
 SHAPES = [(40, 40), (35, 37), (33, 48), (48, 33)]
 
 
-def edge_coefficients(shape, seed):
-    """Random positive edge coefficients spanning 1e-3 to 1e3."""
+def edge_coefficients(shape, seed, mirror=True):
+    """Random positive edge coefficients spanning 1e-3 to 1e3; with mirror,
+    those of a half-grid system, whose mirror edges cN[:, 0] are 0."""
     n_r, n_phi = shape
     rng = np.random.default_rng(seed)
-    return (10.0 ** rng.uniform(-3, 3, (n_r - 1, n_phi)),
-            10.0 ** rng.uniform(-3, 3, (n_r, n_phi - 1)))
+    cE = 10.0 ** rng.uniform(-3, 3, (n_r - 1, n_phi))
+    cN = 10.0 ** rng.uniform(-3, 3, (n_r, n_phi - 1))
+    if mirror:
+        cN[:, 0] = 0.0
+    return cE, cN
 
 
 def smooth_coefficients(shape):
-    """Edge coefficients varying smoothly from 1e-3 to 1e3, as a solve's do."""
+    """Edge coefficients varying smoothly from 1e-3 to 1e3, as a solve's do,
+    of a half-grid system."""
     x, y = np.linspace(0, 1, shape[0]), np.linspace(0, 1, shape[1])
     xm, ym = 0.5 * (x[1:] + x[:-1]), 0.5 * (y[1:] + y[:-1])
 
     def c(x, y):
         return 10.0 ** (3.0 * (2.0 * x[:, None] - 1.0) * np.cos(np.pi * y[None, :]))
 
-    return c(xm, y), c(x, ym)
+    cN = c(x, ym)
+    cN[:, 0] = 0.0
+    return c(xm, y), cN
 
 
 def interior_noise(shape, rng):
@@ -43,13 +51,17 @@ def interior_noise(shape, rng):
     return x
 
 
-def p2_system(problem):
+def p2_system(problem, half=False):
     """cE and cN of the problem's frozen p = 2 system, and a field holding
-    its Dirichlet data with a zero interior."""
+    its Dirichlet data with a zero interior; with half, on the mirror half
+    of the grid, as the p != 2 stages form theirs."""
     r, phi = _grids(problem)
     u = np.zeros((problem.n_r, problem.n_phi))
     u[-1] = _boundary_data(problem, phi)
-    _, cE, cN = _cell_energy(u, r, phi[1] - phi[0], 2.0, problem.eps_reg**2)
+    mirror = None
+    if half:
+        u, mirror = _fold(u), problem.n_phi % 2
+    _, cE, cN = _cell_energy(u, r, phi[1] - phi[0], 2.0, problem.eps_reg**2, mirror=mirror)
     return cE, cN, u
 
 
@@ -84,6 +96,9 @@ def reference_residual(u, cE, cN):
 
 
 def reference_restrict(x, axis):
+    if axis == 1:
+        # the mirror column 0 is carried, the columns after it restricted
+        return np.concatenate([x[:, :1], reference_restrict(x[:, 1:].T, 0).T], axis=1)
     n = x.shape[axis]
     m = (n + 1) // 2
     shape = list(x.shape)
@@ -100,6 +115,9 @@ def reference_restrict(x, axis):
 
 
 def reference_prolong(xc, axis, n):
+    if axis == 1:
+        # the mirror column 0 is carried, the columns after it interpolated
+        return np.concatenate([xc[:, :1], reference_prolong(xc[:, 1:].T, 0, n - 1).T], axis=1)
     m = (n + 1) // 2
     shape = list(xc.shape)
     shape[axis] = n
@@ -349,7 +367,7 @@ def test_residual_and_its_relative_norm(shape):
     # b - A u node by node, and ||b|| as the norm of the data field's own
     # residual, against residual's boundary lines; every boundary value of u
     # is nonzero data here, corners included
-    cE, cN = edge_coefficients(shape, seed=8)
+    cE, cN = edge_coefficients(shape, seed=8, mirror=False)
     u = np.random.default_rng(9).random(shape)
     data = u.copy()
     data[1:-1, 1:-1] = 0.0
@@ -419,9 +437,13 @@ def test_p2_stage_builds_no_hierarchy(monkeypatch, p):
 def test_anisotropic_levels_halve_the_strong_axis_only():
     n = 129
     cE = np.ones((n - 1, n))
-    levels = _multigrid.hierarchy(cE, 20.0 * np.ones((n, n - 1)))
-    # halving phi alone divides the ratio 20 by 4 per level: 20, 5, then 1.25
-    assert [lv.shape for lv in levels[:4]] == [(129, 129), (129, 65), (129, 33), (65, 17)]
+    cN = 20.0 * np.ones((n, n - 1))
+    cN[:, 0] = 0.0  # a half-grid system
+    levels = _multigrid.hierarchy(cE, cN)
+    # halving phi alone divides the ratio 20 by 4 per level: 20, 5, then
+    # 1.25.  Along phi the mirror column is carried and the 128 columns
+    # after it halved: 129 columns, then 1 + 65 and 1 + 33
+    assert [lv.shape for lv in levels[:4]] == [(129, 129), (129, 66), (129, 34), (65, 18)]
 
 
 def test_cg_iterations_do_not_grow_with_nu():
@@ -431,7 +453,7 @@ def test_cg_iterations_do_not_grow_with_nu():
     # a p = 3 solve, whose systems are the ones pcg serves
     for nu in (1.0, 2.0, 4.0, 8.0):
         pr = MeasureProblem(nu=nu, p=2.0, n_r=128, n_phi=128)
-        cE, cN, u = p2_system(pr)
+        cE, cN, u = p2_system(pr, half=True)
         levels, cg = _multigrid.hierarchy(cE, cN), []
         res, resid = _multigrid.residual(cE, cN, u)
         while resid > pr.tol:
@@ -472,3 +494,65 @@ def test_field_near_tightly_converged_reference(nu, p):
     ref = solve_measure(MeasureProblem(nu=nu, p=p, n_r=64, n_phi=64, tol=1e-13))
     assert sol.converged and ref.converged
     assert np.max(np.abs(sol.omega - ref.omega)) <= 1e-7
+
+
+def reference_apply(cE, cN, x):
+    # the operator in its 2-D form: column differences of offset row views
+    out = np.zeros_like(x)
+    inner = out[1:-1, 1:-1]
+    fr = (x[1:] - x[:-1]) * cE
+    np.subtract(fr[:-1, 1:-1], fr[1:, 1:-1], out=inner)
+    fa = (x[:, 1:] - x[:, :-1]) * cN
+    inner += fa[1:-1, :-1]
+    inner -= fa[1:-1, 1:]
+    return out
+
+
+@pytest.mark.parametrize("shape", SHAPES + [(8, 8), (4, 5), (256, 129)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_apply_over_the_raveled_field_matches_the_2d_form_bitwise(shape):
+    # the raveled differences wrap from one row to the next only on the
+    # boundary columns, which come out 0 whatever a given out held
+    cE, cN = edge_coefficients(shape, seed=13, mirror=False)
+    x = np.random.default_rng(14).random(shape)
+    want = reference_apply(cE, cN, x)
+    assert np.array_equal(_multigrid.apply(cE, cN, x), want)
+    out = np.full(shape, np.nan)
+    assert _multigrid.apply(cE, cN, x, out, {}) is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", [9, 10, 33, 34])
+def test_transfers_are_adjoint(axis, n):
+    # <R x, y> = <x, P y>: along phi with the mirror column 0 carried by both
+    rng = np.random.default_rng(n)
+    fine = [7, 7]
+    fine[axis] = n
+    x = rng.standard_normal(fine)
+    coarse = _multigrid._restrict(x, axis)
+    y = rng.standard_normal(coarse.shape)
+    py = _multigrid._prolong(y, axis, np.empty(fine))
+    assert np.array_equal(coarse, reference_restrict(x, axis))
+    assert np.array_equal(py, reference_prolong(y, axis, n))
+    assert abs(_multigrid.dot(coarse, y) - _multigrid.dot(x, py)) <= 1e-12 * np.abs(x).sum()
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("n_phi", [64, 65])
+def test_half_grid_levels_are_finite_and_nonnegative(n_phi, p):
+    # the system of a random even field on the mirror half: for odd n_phi
+    # both edges of column 0 are 0, so the radial series meets 0 / 0 there.
+    # Every level's edges are finite and nonnegative, and its mirror edges 0
+    pr = MeasureProblem(nu=2.0, p=p, n_r=64, n_phi=n_phi)
+    r, phi = _grids(pr)
+    u = np.random.default_rng(15).random((pr.n_r, n_phi))
+    u = 0.5 * (u + u[:, ::-1])
+    _, cE, cN = _cell_energy(_fold(u), r, phi[1] - phi[0], p, pr.eps_reg**2, mirror=n_phi % 2)
+    assert np.all(cE[:, 0] == 0.0) == (n_phi % 2 == 1)
+    levels = _multigrid.hierarchy(cE, cN)
+    assert len(levels) > 3
+    for level in levels:
+        for c in (level.cE, level.cN):
+            assert np.all(np.isfinite(c)) and np.all(c >= 0.0)
+        assert np.all(level.cN[:, 0] == 0.0)
