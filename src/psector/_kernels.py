@@ -1,37 +1,37 @@
-"""The red-black Gauss-Seidel smoother of the multigrid V-cycle.
+"""The red-black Gauss-Seidel smoothers of the multigrid V-cycle.
 
 The measure solver freezes the edge coefficients for a whole Picard cycle
 and solves the frozen system with multigrid-preconditioned conjugate
-gradients (see _multigrid), which smooths every level with these sweeps.  The
+gradients (see _multigrid), which smooths every level with these sweeps.  A
 sweep is split in two: sor_system(cE, cN) prepares what stays fixed, once per
-level and cycle, and sor_sweep(u, system, rhs, colors) does one full
-red-black Gauss-Seidel sweep against it, for the equations
+level and cycle, and the smoothers relax against it, colour by colour, the
+equations
 
     s u[i, j] - (aW u[i-1, j] + aE u[i+1, j] + aS u[i, j-1] + aN u[i, j+1])
         = rhs[i, j],    s = aW + aE + aS + aN,
 
-relaxing the two colours in the given order.  aW = cE[i-1, j], aE = cE[i, j],
-aS = cN[i, j-1] and aN = cN[i, j] are read from the edge arrays of _multigrid,
-the one coefficient layout from the measure solver's energy to the sweep.
+each node of a colour taking its Gauss-Seidel value (sum a u + rhs) / s.
+aW = cE[i-1, j], aE = cE[i, j], aS = cN[i, j-1] and aN = cN[i, j] are read
+from the edge arrays of _multigrid, the one coefficient layout from the
+measure solver's energy to the sweep.
 
-presmooth(u, system, rhs) is the V-cycle's pre-smoothing sweep, which starts
-from u = 0, and returns the residual it leaves.  Work whose result is known
-is skipped.  Colour 0 relaxes against zero neighbours, so it is u = rhs / s;
-colour 1 relaxes from zero, so its old value is not subtracted and added
-back.  The residual is zero on colour 1, whose equations that half-sweep
-has just solved, and on colour 0 rhs - s u cancels, leaving the neighbour
-sum; both hold in exact arithmetic, so the V-cycle is the same linear
-operator as with sor_sweep and a full residual.
+presmooth(u, system, rhs, work) is the V-cycle's pre-smoothing sweep, colour
+0 then colour 1, which starts from u = 0, and returns the residual it
+leaves.  Work whose result is known is skipped.  Colour 0 relaxes against
+zero neighbours, so it is u = rhs / s.  The residual is zero on colour 1,
+whose equations that half-sweep has just solved, and on colour 0 rhs - s u
+cancels, leaving the neighbour sum; both hold in exact arithmetic, so the
+V-cycle is the same linear operator as with a full sweep and a full
+residual.  sor_sweep(u, system, rhs, work) is the post-smoothing sweep in
+the reverse order, colour 1 then colour 0, so the V-cycle is symmetric.
 
 Each colour is updated as two strided sublattices, the odd and the even
 interior rows (u[i0::2, j0::2] against the neighbouring strided views of u),
 with contiguous per-sublattice copies of the coefficients and of the
 diagonal made by sor_system; the copies repay themselves, as strided views
 in their place make a 256^2 (2, 3) and (1, 1.5) solve pair about 5% slower.
-
-sor_sweep and presmooth take an optional workspace (work_array) for the
-per-block scratch of the neighbour sums and presmooth's residual; without
-one, each call makes fresh arrays.
+Both smoothers keep the per-block scratch of the neighbour sums, and
+presmooth its residual, in the workspace work (work_array).
 """
 
 from __future__ import annotations
@@ -106,14 +106,11 @@ def _relax(u, block, rhs, work):
     # equals the sequential one
     nbr = _neighbour_sum(u, block, work)
     nbr += rhs[block[0]]
-    nbr /= block[-1]
-    uc = u[block[0]]
-    nbr -= uc
-    uc += nbr
+    np.divide(nbr, block[-1], out=u[block[0]])
 
 
 def sor_system(cE, cN):
-    """The frozen coefficients of one level and cycle, ready for sor_sweep.
+    """The frozen coefficients of one level and cycle, ready for the smoothers.
 
     cE (n_r - 1, n_phi) and cN (n_r, n_phi - 1) are the nonnegative edge
     coefficients of a field of shape (n_r, n_phi).  Build the system again
@@ -122,36 +119,33 @@ def sor_system(cE, cN):
     return _pack(cE, cN, 0), _pack(cE, cN, 1)
 
 
-def sor_sweep(u, system, rhs, colors=(0, 1), work=None) -> None:
-    """One full red-black Gauss-Seidel sweep, in place.
+def sor_sweep(u, system, rhs, work) -> None:
+    """The V-cycle's post-smoothing sweep, in place: red-black Gauss-Seidel,
+    colour 1 then colour 0, the adjoint of presmooth's order.
 
     Interior nodes only; rows/columns 0 and -1 hold Dirichlet data.
     system comes from sor_system for arrays of u's shape and rhs is an array
-    of u's shape.  colors is the order of the two half-sweeps, (1, 0) being
-    the adjoint of the default (0, 1).  work is a workspace (work_array) for
-    the neighbour sums.
+    of u's shape.  work is the workspace (work_array) of the neighbour sums.
     """
-    for color in colors:
+    for color in (1, 0):
         for block in system[color]:
             _relax(u, block, rhs, work)
 
 
-def presmooth(u, system, rhs, work=None):
-    """sor_sweep(u, system, rhs) of a u that is zero, in place; returns rhs - A u.
+def presmooth(u, system, rhs, work):
+    """The V-cycle's pre-smoothing sweep of a u that is zero, in place:
+    colour 0, then colour 1; returns rhs - A u.
 
-    The field equals that sweep's (up to the sign of a zero); the residual,
-    zero off colour 0, equals rhs - A u up to rounding.  Every interior node
-    of u is written, so only its boundary need be zero on entry.  With a
-    workspace the residual is its "res" array of u's shape, overwritten by
-    the next call; only its colour-0 nodes are ever written, so the rest
-    stays zero.
+    Every interior node of u is written, so only its boundary need be zero
+    on entry.  The residual, zero off colour 0, equals rhs - A u up to
+    rounding; it is the workspace's "res" array of u's shape, overwritten
+    by the next call, and only its colour-0 nodes are ever written, so the
+    rest stays zero.
     """
     for block in system[0]:
         np.divide(rhs[block[0]], block[-1], out=u[block[0]])
     for block in system[1]:
-        nbr = _neighbour_sum(u, block, work)
-        nbr += rhs[block[0]]
-        np.divide(nbr, block[-1], out=u[block[0]])
+        _relax(u, block, rhs, work)
     res = work_array(work, "res", u.shape)
     for block in system[0]:
         res[block[0]] = _neighbour_sum(u, block, work)

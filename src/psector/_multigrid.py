@@ -40,9 +40,9 @@ order one.
 The transfers are linear interpolation and its transpose, and the coarsest
 level is solved with a dense inverse.
 Every level but the coarsest is smoothed by one red-black Gauss-Seidel sweep
-(_kernels.sor_sweep) before the coarse correction and one in the reverse
-colour order after it, so the V-cycle is a symmetric positive definite
-preconditioner.  The pre-smooth starts from zero, so _kernels.presmooth
+before the coarse correction (_kernels.presmooth) and one in the reverse
+colour order after it (_kernels.sor_sweep), so the V-cycle is a symmetric
+positive definite preconditioner.  The pre-smooth starts from zero, so it
 computes its first half-sweep as a division and its residual on one colour
 only, from the neighbour sums alone; in exact arithmetic the V-cycle is the
 same linear operator as with a full sweep and the residual f - A x.
@@ -295,7 +295,7 @@ def vcycle(levels, f, work, x, depth=0):
     if coarse[0] < n_r:
         xc = _prolong(xc, 0, _kernels.work_array(work, "prolong_r", f.shape))
     x += xc
-    _kernels.sor_sweep(x, level.system, f, (1, 0), work)
+    _kernels.sor_sweep(x, level.system, f, work)
     return x
 
 

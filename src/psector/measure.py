@@ -53,8 +53,9 @@ REGION_S2NU = "S_2nu"
 REGION_SNU = "S_nu"
 
 # relative residual at which a p != 2 Picard cycle's CG solve stops; on the
-# six 256^2 acceptance cases 1e-3 took the same 73 Picard cycles, with 46%
-# more CG iterations (211 against 145) and 1.33 s against 1.11 s
+# six 256^2 acceptance cases 1e-3 took the same 72 Picard cycles, with 47%
+# more CG iterations (207 against 141) and 0.73-0.93 s against 0.59-0.69 s
+# (five runs each, 2-core VM)
 CG_RTOL = 1e-2
 # Anderson mixing depth of the p < 2 Picard stages, two fields per unit:
 # depths 1 to 5 took 14, 11, 10, 10 and 10 final-stage cycles on (1, 1.5) at
@@ -347,9 +348,11 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     At p = 2 the coefficient (g + eps^2)^0 is exactly 1, so the frozen system
     depends on the grid alone and its edge coefficients are constant along
     phi: the p = 2 stage solves it directly (_multigrid.sine_solve, a cycle
-    with cg = 0), which leaves a residual at the rounding floor, so at any
-    tol above that floor the stage converges in one cycle; the check after
-    it forms only the energy.  Every other stage hands pcg a hierarchy of the
+    with cg = 0), from the Dirichlet data and a zero interior, since a
+    direct solve returns the same discrete field from any start.  That
+    leaves a residual at the rounding floor, so at any tol above that floor
+    the stage converges in one cycle; the check after it forms only the
+    energy.  Every other stage hands pcg a hierarchy of the
     cycle's system that is freed when pcg returns, and one workspace
     (_multigrid) for all its cycles, so the CG and V-cycle work arrays are
     allocated once per stage.
@@ -372,11 +375,6 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     dphi = phi[1] - phi[0]
     u = np.zeros((pr.n_r, pr.n_phi))
     u[-1, :] = _boundary_data(pr, phi)
-
-    # initial iterate: harmonic-sector shape matching the arc data
-    shape = np.cos(pr.nu * phi[None, 1:-1]).clip(0.0, 1.0)
-    u[1:-1, 1:-1] = (r[1:-1, None] / pr.R) ** pr.nu * shape * u[-1, 1:-1].clip(0.0, 1.0)
-
     eps2 = pr.eps_reg**2
     cycles = []
     # None while u is the full grid, n_phi % 2 once it is the mirror half

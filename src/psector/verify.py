@@ -171,18 +171,18 @@ def measure_suite(quick: bool = False, seed: int = 0) -> list[ExperimentReport]:
     return reports
 
 
+# (nu, q) of the stream-function consistency reports
+STREAM_CASES = [(1.0, 1.5), (2.0, 1.2), (2.0, 1.5), (0.75, 1.5)]
+# (nu, p) of the Phragmen-Lindelof sharpness reports
+PHRAGMEN_CASES = [(1.0, 2.0), (2.0, 3.0), (1.0, math.inf), (2.0, math.inf)]
+
+
 def stream_suite() -> list[ExperimentReport]:
-    return [run_stream_consistency(1.0, 1.5),
-            run_stream_consistency(2.0, 1.2),
-            run_stream_consistency(2.0, 1.5),
-            run_stream_consistency(0.75, 1.5)]
+    return [run_stream_consistency(nu, q) for nu, q in STREAM_CASES]
 
 
 def phragmen_suite() -> list[ExperimentReport]:
-    return [run_phragmen_check(1.0, 2.0),
-            run_phragmen_check(2.0, 3.0),
-            run_phragmen_check(1.0, math.inf),
-            run_phragmen_check(2.0, math.inf)]
+    return [run_phragmen_check(nu, p) for nu, p in PHRAGMEN_CASES]
 
 
 def run_suites(suite: str, quick: bool = False, out_dir: str = ".",

@@ -28,7 +28,15 @@ from psector.measure import (
 )
 from psector.pde import polar_residual_report, separation_report
 from psector.profile import build_profile, phi_of_theta, theta_of_phi
-from psector.verify import MEASURE_CASES, NU_GRID, P_GRID, PROFILE_CASES
+from psector.verify import (
+    MEASURE_CASES,
+    NU_GRID,
+    P_GRID,
+    PHRAGMEN_CASES,
+    PROFILE_CASES,
+    RESIDUAL_TOL,
+    STREAM_CASES,
+)
 
 _solve_cache = {}
 
@@ -144,17 +152,18 @@ def test_criterion_5_equation_residuals():
     r2 = polar_residual_report(prof, 20, step=5e-4).max_abs_residual
     ratio = r1 / r2
     dt = time.time() - t0
-    assert worst_sep <= 1e-3
-    assert worst_field <= 1e-3
+    assert worst_sep <= RESIDUAL_TOL
+    assert worst_field <= RESIDUAL_TOL
     assert 3.0 <= ratio <= 5.0
     assert dt < 30.0
-    report(5, f"separation <= 1e-3 (max {worst_sep:.1e}); field residuals <= 1e-3 "
-              f"(max {worst_field:.1e}); halving ratio {ratio:.2f} in [3, 5] ({dt:.1f} s)")
+    report(5, f"separation <= {RESIDUAL_TOL:g} (max {worst_sep:.1e}); field residuals <= "
+              f"{RESIDUAL_TOL:g} (max {worst_field:.1e}); halving ratio {ratio:.2f} "
+              f"in [3, 5] ({dt:.1f} s)")
 
 
 def test_criterion_6_stream_consistency():
     t0 = time.time()
-    for nu, q in [(1.0, 1.5), (2.0, 1.2), (2.0, 1.5), (0.75, 1.5)]:
+    for nu, q in STREAM_CASES:
         rep = run_stream_consistency(nu, q)
         assert rep.passed, (nu, q, rep.first_failure())
     dt = time.time() - t0
@@ -212,7 +221,7 @@ def test_criterion_8_walk_on_spheres_oracle():
 
 
 def test_criterion_9_phragmen_sharpness():
-    for nu, p in [(1.0, 2.0), (2.0, 3.0), (1.0, math.inf), (2.0, math.inf)]:
+    for nu, p in PHRAGMEN_CASES:
         rep = run_phragmen_check(nu, p)
         assert [row["R"] for row in rep.rows] == [1.0, 10.0, 100.0, 1000.0]
         assert rep.passed, (nu, p, rep.first_failure())

@@ -27,9 +27,10 @@ def node_coefficients(cE, cN):
     return aW, aE, aS, aN
 
 
-def reference_color(u, aW, aE, aS, aN, omega, color, rhs):
-    # the original masked half-sweep: the update for both colours, then a
-    # parity mask keeps one; the reference the strided kernels must match
+def reference_color(u, aW, aE, aS, aN, color, rhs):
+    # the original masked half-sweep: the Gauss-Seidel value for both
+    # colours, then a parity mask keeps one; the reference the strided
+    # kernels must match
     n_r, n_phi = u.shape
     nbr = aW[1:-1, 1:-1] * u[:-2, 1:-1] + aE[1:-1, 1:-1] * u[2:, 1:-1]
     nbr += aS[1:-1, 1:-1] * u[1:-1, :-2] + aN[1:-1, 1:-1] * u[1:-1, 2:]
@@ -37,16 +38,16 @@ def reference_color(u, aW, aE, aS, aN, omega, color, rhs):
     s = (aW[1:-1, 1:-1] + aE[1:-1, 1:-1]) + (aS[1:-1, 1:-1] + aN[1:-1, 1:-1])
     ii, jj = np.indices((n_r - 2, n_phi - 2))
     mask = ((ii + jj) & 1) == color
-    upd = u[1:-1, 1:-1] + omega * (nbr / s - u[1:-1, 1:-1])
-    u[1:-1, 1:-1] = np.where(mask, upd, u[1:-1, 1:-1])
+    u[1:-1, 1:-1] = np.where(mask, nbr / s, u[1:-1, 1:-1])
 
 
-def reference_sweeps(u, coef, n, rhs, colors=(0, 1)):
-    # Gauss-Seidel: the reference at omega 1
+def reference_sweeps(u, coef, n, rhs, colors=(1, 0)):
+    # n sweeps, relaxing the colours in the given order: (1, 0) is
+    # sor_sweep's, (0, 1) presmooth's
     a = node_coefficients(*coef)
     for _ in range(n):
         for color in colors:
-            reference_color(u, *a, 1.0, color, rhs)
+            reference_color(u, *a, color, rhs)
     return u
 
 
@@ -58,9 +59,9 @@ def test_sweep_solves_laplace():
     u = np.zeros((n, n))
     u[-1, :] = 1.0
     rhs = np.zeros_like(u)
-    system = _kernels.sor_system(np.ones((n - 1, n)), np.ones((n, n - 1)))
+    system, work = _kernels.sor_system(np.ones((n - 1, n)), np.ones((n, n - 1))), {}
     for _ in range(2600):
-        _kernels.sor_sweep(u, system, rhs)
+        _kernels.sor_sweep(u, system, rhs, work)
     # interior harmonic: each value is the mean of its 4 neighbors
     resid = np.abs(
         u[1:-1, 1:-1]
@@ -74,9 +75,9 @@ def test_dirichlet_rows_untouched():
     for u, coef in (symmetric_system(s) for s in SHAPES):
         edges = (u[0, :].copy(), u[-1, :].copy(), u[:, 0].copy(), u[:, -1].copy())
         rhs = np.zeros_like(u)
-        system = _kernels.sor_system(*coef)
+        system, work = _kernels.sor_system(*coef), {}
         for _ in range(50):
-            _kernels.sor_sweep(u, system, rhs)
+            _kernels.sor_sweep(u, system, rhs, work)
         assert np.array_equal(u[0, :], edges[0])
         assert np.array_equal(u[-1, :], edges[1])
         assert np.array_equal(u[:, 0], edges[2])
@@ -88,24 +89,23 @@ def test_system_built_once_matches_reference(shape):
     u, coef = symmetric_system(shape, seed=1)
     rhs = np.zeros_like(u)
     v = u.copy()
-    system = _kernels.sor_system(*coef)
+    system, work = _kernels.sor_system(*coef), {}
     for _ in range(50):
-        _kernels.sor_sweep(v, system, rhs)
+        _kernels.sor_sweep(v, system, rhs, work)
     ref = reference_sweeps(u, coef, 50, rhs)
     assert np.isfinite(ref).all()
     assert np.array_equal(v, ref)
 
 
-@pytest.mark.parametrize("colors", [(0, 1), (1, 0)])
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_sweep_with_rhs_matches_reference(shape, colors):
+def test_sweep_with_rhs_matches_reference(shape):
     u, coef = symmetric_system(shape, seed=2)
     rhs = np.random.default_rng(3).standard_normal(shape)
     v = u.copy()
-    system = _kernels.sor_system(*coef)
+    system, work = _kernels.sor_system(*coef), {}
     for _ in range(50):
-        _kernels.sor_sweep(v, system, rhs, colors)
-    ref = reference_sweeps(u, coef, 50, rhs, colors)
+        _kernels.sor_sweep(v, system, rhs, work)
+    ref = reference_sweeps(u, coef, 50, rhs)
     assert np.isfinite(ref).all()
     assert np.array_equal(v, ref)
 
@@ -135,7 +135,7 @@ def test_second_color_residual_vanishes_after_a_sweep(shape):
     # final colour-0 values, which is why presmooth keeps colour 0's only
     u, coef = symmetric_system(shape, seed=6)
     rhs = np.random.default_rng(7).standard_normal(shape)
-    _kernels.sor_sweep(u, _kernels.sor_system(*coef), rhs, (0, 1))
+    reference_sweeps(u, coef, 1, rhs, (0, 1))
     res = np.abs(reference_residual(u, *coef, rhs))
     color = colors(shape)
     assert res[color == 0].max() > 0.0
@@ -144,15 +144,14 @@ def test_second_color_residual_vanishes_after_a_sweep(shape):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_presmooth_is_a_sweep_from_zero(shape):
-    # the field equals sor_sweep's from zero bitwise; the residual is the
-    # node-by-node one, whose colour-1 part is rounding
+    # the field equals a colour-(0, 1) sweep's from zero bitwise; the
+    # residual is the node-by-node one, whose colour-1 part is rounding
     _, coef = symmetric_system(shape, seed=8)
     rhs = np.zeros(shape)
     rhs[1:-1, 1:-1] = np.random.default_rng(9).standard_normal((shape[0] - 2, shape[1] - 2))
-    system = _kernels.sor_system(*coef)
-    fast, swept = np.zeros(shape), np.zeros(shape)
-    res = _kernels.presmooth(fast, system, rhs)
-    _kernels.sor_sweep(swept, system, rhs, (0, 1))
+    fast = np.zeros(shape)
+    res = _kernels.presmooth(fast, _kernels.sor_system(*coef), rhs, {})
+    swept = reference_sweeps(np.zeros(shape), coef, 1, rhs, (0, 1))
     assert np.array_equal(fast, swept)
     assert np.array_equal(np.signbit(fast), np.signbit(swept))
     ref = reference_residual(swept, *coef, rhs)

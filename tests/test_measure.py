@@ -22,6 +22,7 @@ from psector.measure import (
     MeasureSolution,
     _cell_energy,
     _circle_point,
+    _fold,
     _grids,
     _half_disk_exit,
     comparability_constants,
@@ -261,10 +262,12 @@ class TestSolveMeasure:
     def test_energy_is_the_stage_energy(self):
         # a p = 3 solve starts with a p = 2 stage running the same cycles as
         # the p = 2 solve, so the energies it tags p = 2 are the p = 2
-        # energies, and the first p = 3 cycle records the p = 3 energy
-        for nu in (1.0, 2.0):
-            lin = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=48, n_phi=48))
-            cont = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=48, n_phi=48))
+        # energies, and the first p = 3 cycle records the p = 3 energy of
+        # the p = 2 solution: the doubled sum over its mirror half, which
+        # the stage forms, at even and odd sizes
+        for n, nu in itertools.product((32, 48, 65, 96, 128), (1.0, 2.0)):
+            lin = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=n, n_phi=n))
+            cont = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=n, n_phi=n))
             stage_p = [c.p for c in cont.cycles]
             energy = [c.energy for c in cont.cycles]
             lin_energy = [c.energy for c in lin.cycles]
@@ -272,11 +275,11 @@ class TestSolveMeasure:
             first = stage_p.index(3.0)
             assert first > 0 and set(stage_p[:first]) == {2.0}
             assert energy[:first] == lin_energy
-            # the p = 3 stage starts from the p = 2 solution
             r, phi = _grids(lin.problem)
-            at = functools.partial(_cell_energy, lin.omega, r, phi[1] - phi[0],
+            at = functools.partial(_cell_energy, r=r, dphi=phi[1] - phi[0],
                                    eps2=lin.problem.eps_reg**2, coefficients=False)
-            assert energy[first] == at(3.0) != at(2.0)
+            half = at(_fold(lin.omega), p=3.0, mirror=n % 2)
+            assert energy[first] == half != at(lin.omega, p=2.0), (n, nu)
 
     def test_p2_coefficients_assembled_once(self, monkeypatch):
         # at p = 2 the frozen coefficients do not depend on the field: the

@@ -176,7 +176,7 @@ def reference_vcycle(levels, f, depth=0):
     if coarse[0] < n_r:
         xc = reference_prolong(xc, 0, n_r)
     x += xc
-    _kernels.sor_sweep(x, level.system, f, (1, 0))
+    _kernels.sor_sweep(x, level.system, f, {})
     return x
 
 
