@@ -111,21 +111,24 @@ def radial_exponent_roots(nu, p) -> tuple[float, float]:
 
 
 def exponent_condition_residual(k: float, nu, p) -> float:
-    """Residual of the aperture condition that defines k, for finite p != 2.
+    """Residual of the aperture condition that defines k, for p in (1, inf].
 
     Returns pi/nu - pi*(1 - (1 - 1/k)*sqrt(a*k)/sqrt(a*k - 1)); zero iff k
     satisfies the defining transcendental condition.  Requires a*k > 1.
-    For p < 2 map the problem through the conjugate identity
-    k(nu, q) = (p-1)*(k(nu, p)-1) + 1 with p = q/(q-1) before calling.
+    For p < 2 the condition is that of the conjugate pair
+    k' = (k - 1)(p - 1) + 1, p' = p/(p - 1); at p = 2 it is the limit
+    a -> inf, pi/nu - pi/k, for k > 0.
     """
     nu = _as_nu(nu)
     p = _as_p(p)
-    if p == math.inf:
-        a = 1.0
-    else:
-        if p == 2.0:
-            raise DomainError("condition constants are undefined at p = 2")
-        a = (p - 1.0) / (p - 2.0)
+    if p == 2.0:
+        if not k > 0.0:
+            raise DomainError(f"k must be positive, got {k}")
+        return math.pi / nu - math.pi / k
+    if p < 2.0:
+        k = (k - 1.0) * (p - 1.0) + 1.0
+        p = conjugate_exponent(p)
+    a = 1.0 if p == math.inf else (p - 1.0) / (p - 2.0)
     ak = a * k
     if not ak > 1.0:
         raise DomainError(f"a*k must exceed 1, got a*k = {ak}")

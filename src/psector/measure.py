@@ -73,12 +73,14 @@ SLOPE_WINDOW = (0.05, 0.4)
 MC_SHELL = 1e-5
 MC_MAX_STEPS = 100000
 HALF_DISK_MAX = 0.5
+# the innermost grid radius, the truncation ring, in fractions of R
+RMIN_FRAC = 1e-3
 
 
 @dataclass(frozen=True)
 class MeasureProblem:
     """Discrete p-harmonic measure problem on a polar grid whose n_r radii
-    are logarithmically spaced from rmin_frac * R to R.
+    are logarithmically spaced from RMIN_FRAC * R to R.
 
     arc_target selects the Dirichlet data: FULL_ARC puts 1 on the whole arc,
     INNER_ARC on the sub-arc |phi| <= pi/(4 nu) only (data jumps get 1/2).
@@ -94,7 +96,6 @@ class MeasureProblem:
     tol: float = 1e-9
     max_iter: int = 4000
     arc_target: str = FULL_ARC
-    rmin_frac: float = 1e-3
 
     def __post_init__(self):
         _as_nu(self.nu)
@@ -108,8 +109,6 @@ class MeasureProblem:
             raise DomainError("grid must be at least 8 x 8")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.rmin_frac < 1.0:
-            raise DomainError(f"rmin_frac must lie in (0, 1), got {self.rmin_frac}")
         if self.arc_target not in (FULL_ARC, INNER_ARC):
             raise DomainError(f"unknown arc target {self.arc_target!r}")
 
@@ -203,7 +202,7 @@ class MeasureSolution:
             "tolerance": pr.tol,
             "max_iter": pr.max_iter,
             "arc_target": pr.arc_target,
-            "rmin_frac": pr.rmin_frac,
+            "rmin_frac": RMIN_FRAC,
             "iterations": self.iterations,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
@@ -223,7 +222,7 @@ class SlopeFit:
 
 def _grids(problem: MeasureProblem):
     pr = problem
-    rmin = pr.rmin_frac * pr.R
+    rmin = RMIN_FRAC * pr.R
     r = rmin * (pr.R / rmin) ** np.linspace(0.0, 1.0, pr.n_r)
     r[-1] = pr.R
     alpha = pr.half_aperture

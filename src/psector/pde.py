@@ -10,9 +10,9 @@ covers the angular ODE for every p in (1, inf], with f'' differenced from
 tabulated values.  Fields take arrays, and the residuals work elementwise:
 each report samples the stencils of all its points in one field call.
 
-Residuals are reported two ways: raw (the multiplied-out left side) and
-relative, dividing by the largest individual term magnitude so that "small"
-means small against the balance actually achieved.
+Every residual is relative: the multiplied-out left side divided by the
+largest individual term magnitude (the sup-norm one by |grad u|^2 max|D2 u|),
+so that "small" means small against the balance actually achieved.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ def _rel(terms):
     return sum(terms) / scale
 
 
-def _combine(terms, relative: bool):
-    return _rel(terms) if relative else sum(terms)
-
-
 def _differences(fld, a, b, h: float):
     """Second-order central differences of fld at (a, b) with step h.
 
@@ -79,8 +75,9 @@ def _differences(fld, a, b, h: float):
     )
 
 
-def separation_residual(f, fprime, fsecond, k: float, p: float, relative: bool = False):
-    """Left side of the angular separation ODE for p in (1, inf], elementwise.
+def separation_residual(f, fprime, fsecond, k: float, p: float):
+    """Relative residual of the angular separation ODE for p in (1, inf],
+    elementwise.
 
     [(b+1) f'^2 + b k^2 f^2] f'' + (2k + bk - 1) k f f'^2 + (bk + k - 1) k^3 f^3
     with b = 1/(p-2), which is 0 at p = inf.  At p = 2 the equation is the
@@ -95,30 +92,12 @@ def separation_residual(f, fprime, fsecond, k: float, p: float, relative: bool =
             (2.0 * k + b * k - 1.0) * k * f * fprime * fprime,
             (b * k + k - 1.0) * k**3 * f**3,
         )
-    return _combine(terms, relative)
+    return _rel(terms)
 
 
-def _polar_terms(fld, r, phi, p: float, step: float):
-    """Terms of the polar residual of fld at (r, phi), arrays allowed: the
-    balance u_rr + u_r/r + u_pp/r^2 at p = 2, else the p-Laplace form of
-    polar_plap_residual."""
-    ur, up, urr, upp, urp = _differences(fld, r, phi, step)
-    if p == 2.0:
-        return (urr, ur / r, upp / r**2)
-    b = 1.0 / (p - 2.0)
-    return (
-        (b + 1.0) * ur * ur * urr,
-        b / r**2 * (urr * up * up + ur * ur * upp),
-        (b + 1.0) / r**4 * up * up * upp,
-        b / r * ur**3,
-        (b - 1.0) / r**3 * ur * up * up,
-        2.0 / r**2 * ur * up * urp,
-    )
-
-
-def polar_plap_residual(fld, point, p: float, step: float, relative: bool = False):
-    """Finite-difference residual of the polar p-Laplace equation at a point,
-    for finite p > 1.
+def polar_plap_residual(fld, point, p: float, step: float):
+    """Relative finite-difference residual of the polar p-Laplace equation at
+    polar points (r, phi), floats or arrays, for finite p > 1.
 
     fld(r, phi) is sampled on the centered stencil of `_differences` with the
     given step.  The multiplied-out form is evaluated:
@@ -126,32 +105,40 @@ def polar_plap_residual(fld, point, p: float, step: float, relative: bool = Fals
     (b+1) ur^2 urr + (b/r^2)(urr up^2 + ur^2 upp) + ((b+1)/r^4) up^2 upp
       + (b/r) ur^3 + ((b-1)/r^3) ur up^2 + (2/r^2) ur up urp,  b = 1/(p-2);
 
-    at p = 2 the balance u_rr + u_r/r + u_pp/r^2.  `relative` divides by the
-    max term.
+    at p = 2 the balance u_rr + u_r/r + u_pp/r^2.
     """
+    r, phi = point
     if p == math.inf:
         raise DomainError("polar_plap_residual needs finite p")
-    if not point.r > 2.0 * step:
+    if not np.all(r > 2.0 * step):
         raise DomainError("stencil requires r > 2*step")
-    return _combine(_polar_terms(fld, point.r, point.phi, p, step), relative)
+    ur, up, urr, upp, urp = _differences(fld, r, phi, step)
+    if p == 2.0:
+        return _rel((urr, ur / r, upp / r**2))
+    b = 1.0 / (p - 2.0)
+    return _rel((
+        (b + 1.0) * ur * ur * urr,
+        b / r**2 * (urr * up * up + ur * ur * upp),
+        (b + 1.0) / r**4 * up * up * upp,
+        b / r * ur**3,
+        (b - 1.0) / r**3 * ur * up * up,
+        2.0 / r**2 * ur * up * urp,
+    ))
 
 
-def inf_lap_residual(fld, point, step: float, relative: bool = False):
+def inf_lap_residual(fld, point, step: float):
     """Finite-difference sup-norm Laplacian sum u_xi u_xj u_xixj at Cartesian
-    points (x, y), floats or arrays; `relative` divides by
-    |grad u|^2 * max|D2 u|."""
+    points (x, y), floats or arrays, relative to |grad u|^2 * max|D2 u|."""
     x, y = point
     ux, uy, uxx, uyy, uxy = _differences(fld, x, y, step)
     res = ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy
-    if relative:
-        grad2 = ux * ux + uy * uy
-        hess = np.maximum(np.maximum(np.abs(uxx), np.abs(uyy)), np.abs(uxy))
-        # affine fields have a numerically zero Hessian; floor the curvature
-        # scale by the homogeneous one |grad u| / |x| so 0/0 reads as 0
-        rr = np.hypot(x, y)
-        hess = np.maximum(hess, np.sqrt(grad2) / np.where(rr > 0.0, rr, np.inf))
-        return res / np.maximum(grad2 * hess, _SCALE_FLOOR)
-    return res
+    grad2 = ux * ux + uy * uy
+    hess = np.maximum(np.maximum(np.abs(uxx), np.abs(uyy)), np.abs(uxy))
+    # affine fields have a numerically zero Hessian; floor the curvature
+    # scale by the homogeneous one |grad u| / |x| so 0/0 reads as 0
+    rr = np.hypot(x, y)
+    hess = np.maximum(hess, np.sqrt(grad2) / np.where(rr > 0.0, rr, np.inf))
+    return res / np.maximum(grad2 * hess, _SCALE_FLOOR)
 
 
 # half-width of the angular bands excluded around profile corner
@@ -210,7 +197,7 @@ def separation_report(prof: AngularProfile, n_samples: int | None = None) -> Res
                         0.25 * (prof.half_aperture - ax))
         f_right, f_left = prof.f_exact(np.stack([x + ha, x - ha]))
         fpp = (f_right - 2.0 * fi + f_left) / (ha * ha)
-    res = separation_residual(fi, prof.fprime[idx], fpp, prof.k, prof.p, relative=True)
+    res = separation_residual(fi, prof.fprime[idx], fpp, prof.k, prof.p)
     return ResidualReport(max_abs_residual=_worst(res), sample_count=len(idx))
 
 
@@ -235,10 +222,10 @@ def polar_residual_report(prof: AngularProfile, n_samples: int = 100,
         def fld_xy(x, y):
             return np.power(np.hypot(x, y), k) * prof.f_exact(np.arctan2(y, x))
 
-        res = inf_lap_residual(fld_xy, (np.cos(phis), np.sin(phis)), step, relative=True)
+        res = inf_lap_residual(fld_xy, (np.cos(phis), np.sin(phis)), step)
     else:
         def fld_polar(r, phi):
             return np.power(r, k) * prof.f_exact(phi)
 
-        res = _rel(_polar_terms(fld_polar, 1.0, phis, prof.p, step))
+        res = polar_plap_residual(fld_polar, (1.0, phis), prof.p, step)
     return ResidualReport(max_abs_residual=_worst(res), sample_count=len(phis))

@@ -341,9 +341,6 @@ class AngularProfile:
     def f_exact(self, phi):
         return self.evaluator.eval(phi)[0]
 
-    def fprime_exact(self, phi):
-        return self.evaluator.eval(phi)[1]
-
 
 def _check_invariants(prof: AngularProfile) -> list[str]:
     bad = []

@@ -17,6 +17,19 @@ from psector.exponent import (
 from psector.experiments import NU_GRID, P_GRID
 
 
+def mapped_condition_residual(nu, p):
+    """The aperture condition at k(nu, p) through the p > 2 form only: p < 2
+    maps by hand to the conjugate pair, p = 2 probes just off 2, where k = nu
+    satisfies the condition up to O(1/a)."""
+    if p > 2.0:
+        return exponent_condition_residual(radial_exponent(nu, p), nu, p)
+    if p < 2.0:
+        pc = conjugate_exponent(p)
+        k_conj = (radial_exponent(nu, p) - 1.0) * (p - 1.0) + 1.0
+        return exponent_condition_residual(k_conj, nu, pc)
+    return exponent_condition_residual(nu, nu, 2.0 + 1e-10)
+
+
 def bisect_k(nu, p, tol=1e-14):
     """Independent oracle: solve the aperture condition by pure bisection."""
     a = (p - 1.0) / (p - 2.0)
@@ -156,19 +169,27 @@ class TestConditionResidual:
     def test_requires_ak_above_one(self):
         with pytest.raises(DomainError):
             exponent_condition_residual(0.1, 2.0, 3.0)
+        with pytest.raises(DomainError):
+            exponent_condition_residual(0.0, 2.0, 2.0)
 
     def test_grid_self_consistency(self):
         for nu in NU_GRID:
             for p in P_GRID:
-                if p > 2.0:
-                    res = exponent_condition_residual(radial_exponent(nu, p), nu, p)
-                elif p < 2.0:
-                    pc = conjugate_exponent(p)
-                    k_conj = (radial_exponent(nu, p) - 1.0) * (p - 1.0) + 1.0
-                    res = exponent_condition_residual(k_conj, nu, pc)
-                else:
-                    res = exponent_condition_residual(nu, nu, 2.0 + 1e-10)
+                res = mapped_condition_residual(nu, p)
                 assert abs(res) <= 1e-9, (nu, p, res)
+
+    def test_every_p_matches_the_mapping(self):
+        # p < 2 takes the conjugate pair bit for bit; p = 2 is the limit
+        # pi/nu - pi/k, exactly 0 at k = nu
+        for nu in NU_GRID:
+            for p in P_GRID:
+                k = radial_exponent(nu, p)
+                res = exponent_condition_residual(k, nu, p)
+                if p == 2.0:
+                    assert k == nu and res == 0.0, (nu, res)
+                    assert abs(exponent_condition_residual(1.1 * k, nu, p)) > 1e-3, nu
+                else:
+                    assert res == mapped_condition_residual(nu, p), (nu, p)
 
     def test_ak_exceeds_one_for_p_above_2(self):
         for p in (3.0, 4.0, 10.0, 100.0):
@@ -257,8 +278,7 @@ class TestConjugacy:
 def test_property_positive_and_consistent(nu, p):
     k = radial_exponent(nu, p)
     assert k > 0.0
-    if p > 2.01:
-        assert abs(exponent_condition_residual(k, nu, p)) <= 1e-8
+    assert abs(exponent_condition_residual(k, nu, p)) <= 1e-8
 
 
 @settings(max_examples=100, deadline=None)

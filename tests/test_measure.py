@@ -476,12 +476,15 @@ class TestSolveMeasure:
 
     def test_summary_describes_the_problem(self):
         pr = MeasureProblem(nu=2.0, p=3.0, R=1.5, n_r=24, n_phi=25, eps_reg=1e-5,
-                            tol=1e-7, max_iter=5, arc_target=INNER_ARC, rmin_frac=1e-2)
-        data = solve_measure(pr).summary()
+                            tol=1e-7, max_iter=5, arc_target=INNER_ARC)
+        sol = solve_measure(pr)
+        data = sol.summary()
         want = dataclasses.asdict(pr)
         want["grid"] = [want.pop("n_r"), want.pop("n_phi")]
         want["tolerance"] = want.pop("tol")
+        want["rmin_frac"] = measure.RMIN_FRAC
         assert {key: data.get(key) for key in want} == want
+        assert sol.r[0] == measure.RMIN_FRAC * pr.R
 
     def test_nonconvergence_reported_not_raised(self):
         sol = solve_measure(MeasureProblem(nu=1.0, p=3.0, n_r=32, n_phi=32, max_iter=3))
@@ -503,8 +506,7 @@ class TestSolveMeasure:
         for bad in (dict(R=math.nan), dict(R=math.inf), dict(R=-1.0),
                     dict(eps_reg=math.nan), dict(eps_reg=math.inf),
                     dict(tol=0.0), dict(tol=math.nan), dict(tol=-1e-8),
-                    dict(max_iter=0), dict(rmin_frac=0.0), dict(rmin_frac=1.0),
-                    dict(rmin_frac=1.5), dict(rmin_frac=math.nan)):
+                    dict(max_iter=0)):
             with pytest.raises(DomainError):
                 MeasureProblem(nu=1.0, p=2.0, **bad)
 

@@ -120,12 +120,12 @@ class TestEvaluators:
         prof = build_profile(2.0, 3.0, 129)
         assert prof.f_exact(0.0) == pytest.approx(1.0, abs=1e-14)
         assert abs(prof.f_exact(math.pi / 4)) <= 1e-9
-        assert prof.fprime_exact(0.0) == 0.0
+        assert prof.evaluator.eval(0.0)[1] == 0.0
 
     def test_fprime_at_boundary_is_minus_kc(self):
         # theta = pi/2 there, so f' = -k c (the (1 - cos^2/ak) factor is 1)
         prof = build_profile(2.0, 3.0, 129)
-        assert prof.fprime_exact(math.pi / 4) == pytest.approx(
+        assert prof.evaluator.eval(math.pi / 4)[1] == pytest.approx(
             -prof.k * prof.c, rel=1e-9
         )
 
@@ -133,7 +133,7 @@ class TestEvaluators:
         # frozen solve_ivp integrations of the separation ODE from f(0)=1, f'(0)=0
         prof = build_profile(1.0, 3.0, 129)
         assert prof.f_exact(0.4) == pytest.approx(0.9210609940028637, abs=1e-10)
-        assert prof.fprime_exact(0.4) == pytest.approx(-0.389418342308642, abs=1e-10)
+        assert prof.evaluator.eval(0.4)[1] == pytest.approx(-0.389418342308642, abs=1e-10)
         prof = build_profile(2.0, 4.0, 129)
         assert prof.f_exact(0.3) == pytest.approx(0.8094787606759469, abs=1e-10)
 
@@ -144,7 +144,7 @@ class TestEvaluators:
             alpha = prof.half_aperture
             phis = np.linspace(-alpha * 0.9, alpha * 0.9, 50)
             nums = (prof.f_exact(phis + h) - prof.f_exact(phis - h)) / (2 * h)
-            for phi, num, fp in zip(phis, nums, prof.fprime_exact(phis)):
+            for phi, num, fp in zip(phis, nums, prof.evaluator.eval(phis)[1]):
                 if p == math.inf and abs(phi) < 0.01:
                     continue  # ridge
                 assert fp == pytest.approx(
@@ -153,11 +153,11 @@ class TestEvaluators:
 
     def test_p2_closed_form(self):
         prof = build_profile(2.0, 2.0)
-        assert (prof.f_exact(0.0), prof.fprime_exact(0.0)) == (1.0, 0.0)
+        assert (prof.f_exact(0.0), prof.evaluator.eval(0.0)[1]) == (1.0, 0.0)
         assert prof.f_exact(math.pi / 4) == pytest.approx(0.0, abs=1e-16)
-        assert prof.fprime_exact(math.pi / 4) == pytest.approx(-2.0)
+        assert prof.evaluator.eval(math.pi / 4)[1] == pytest.approx(-2.0)
         assert prof.f_exact(math.pi / 8) == pytest.approx(math.sqrt(2) / 2)
-        assert prof.fprime_exact(math.pi / 8) == pytest.approx(-math.sqrt(2))
+        assert prof.evaluator.eval(math.pi / 8)[1] == pytest.approx(-math.sqrt(2))
 
     @pytest.mark.parametrize("nu, p", PROFILE_CASES)
     def test_table_is_evaluator_at_nodes(self, nu, p):
