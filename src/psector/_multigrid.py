@@ -17,8 +17,8 @@ column 0 is the mirror column, whose edges cN[:, 0] are 0, so no flux
 crosses it, column 1 is the axis or the first column past it, and column -1
 the wall.  hierarchy(cE, cN) builds the levels once per cycle and
 pcg(u, levels, rtol, r, work) solves, warm-started.  Every level, its
-operator (apply) and its smoother (_kernels.sor_system) use this one edge
-layout; the finest level holds the caller's cE and cN, not copies.
+operator (_kernels.apply) and its smoother (_kernels.sor_system) use this one
+edge layout; the finest level holds the caller's cE and cN, not copies.
 
 Each coarser level halves an axis, keeping the even-index nodes and the last
 one, and stays a 5-point operator: along a coarsened axis two fine edges
@@ -39,22 +39,21 @@ damp under full coarsening; a few semicoarsened levels bring it back to
 order one.
 The transfers are linear interpolation and its transpose, and the coarsest
 level is solved with a dense inverse.
-Every level but the coarsest is smoothed by one red-black Gauss-Seidel sweep
-before the coarse correction (_kernels.presmooth) and one in the reverse
-colour order after it (_kernels.sor_sweep), so the V-cycle is a symmetric
-positive definite preconditioner.  The pre-smooth starts from zero, so it
-computes its first half-sweep as a division and its residual on one colour
-only, from the neighbour sums alone; in exact arithmetic the V-cycle is the
-same linear operator as with a full sweep and the residual f - A x.
+Every level but the coarsest is smoothed by SWEEPS damped Jacobi sweeps
+(_kernels.sor_sweep) before the coarse correction and as many after it.
+Jacobi's iteration matrix I - OMEGA D^-1 A is self-adjoint in the energy
+inner product, so pre- and post-smoother are the same operator and the
+V-cycle is a symmetric positive definite preconditioner.  The pre-smooth
+starts from zero, so its first sweep is the product (OMEGA / s) f.
 
 pcg and vcycle require a workspace (_kernels.work_array), a dict that holds
 every work array of the solve: pcg's search direction, preconditioned
 residual and operator product, apply's edge fluxes, each level's iterate,
 pre-smoothing residual, restricted right side and prolonged correction,
-and the smoother's per-block scratch.  Keyed by shape, one workspace serves
-every hierarchy of a grid, whichever levels semicoarsening picks, so a
-solve that passes the same one to each pcg call allocates these arrays at
-its first call only.  No result depends on what an earlier call left: each
+and the sweep's residual.  Keyed by shape, one workspace serves every
+hierarchy of a grid, whichever levels semicoarsening picks, so a solve that
+passes the same one to each pcg call allocates these arrays at its first
+call only.  No result depends on what an earlier call left: each
 call overwrites what it reads, except zeros on nodes that no code writes.
 
 Inner products are numpy einsum reductions: np.dot and np.linalg.norm go
@@ -70,17 +69,26 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from ._kernels import apply
 
 # nodes per side, on the full grid, at which an axis is no longer coarsened.
 # Of (2, 10) and (3, 8) at 64^2 and (1, 10) and (4, 6) at 128^2, 12 caps CG
-# on (4, 6), and 17 and 24 converge all four
+# on (4, 6) (5 capped solves in 59 cycles), and 17 and 24 converge all four
 COARSEST = 17
 # a level halves only its strongly coupled axis when the mean coupling along
-# it is at least this many times the other's: point Gauss-Seidel smooths the
+# it is at least this many times the other's: a point smoother smooths the
 # error only along the strong axis.  Halving one axis divides the ratio by 4,
-# so 2 is where that lands as far from isotropy (ratio 1/2) as it started
+# so 2 is where that lands as far from isotropy (ratio 1/2) as it started.
+# 1.5, 2 and 3 take the same cycles and CG iterations on (2, 3) and (1, 4)
+# at 256^2 and on (8, 3) at 128^2
 ANISOTROPY = 2.0
-MAX_CG = 200  # far above the 3-5 iterations of a logarithmic-grid Picard cycle
+# far above the CG iterations of a Picard cycle: at most 3 on the six 256^2
+# acceptance solves and on (2, 10), (3, 8) and (4, 6), 9 on (1, 1.1) at 128^2
+MAX_CG = 200
+# damped Jacobi sweeps before the coarse correction and as many after it.
+# With one on each side, (2, 10) at 128^2 stopped on cg_capped after 177
+# Picard cycles and 1346 CG iterations
+SWEEPS = 2
 
 
 class Level(NamedTuple):
@@ -207,40 +215,6 @@ def hierarchy(cE, cN) -> list:
             cE, cN = _restrict(cE, 1), _series(cN, 1)
 
 
-def apply(cE, cN, x, out=None, work=None):
-    """The operator of cE and cN on x, at the interior nodes; 0 on the boundary.
-
-    Boundary values of x enter as the Dirichlet data of the neighbours.  A
-    given out is overwritten.
-
-    Every difference and sum runs over the raveled field, which is
-    contiguous: numpy copies a 2-D operand whose rows are offset views of
-    one array through its iterator buffers, at about twice the cost.  A
-    raveled angular difference x[i, j + 1] - x[i, j] wraps from the end of
-    one row to the start of the next, and the interior rows' raveled sums
-    cover their boundary columns; both land on the boundary columns only,
-    which are zeroed at the end.  The interior equals the 2-D form's bit for
-    bit: the same subtractions, products and sums in the same order.
-    """
-    if out is None:
-        out = np.empty_like(x)
-    n, size = x.shape[1], x.size
-    flat, inner = x.reshape(-1), out.reshape(-1)[n:size - n]
-    # the radial, then the angular edge fluxes, one after the other in one
-    # array of x's size
-    flux = _kernels.work_array(work, "flux", (size,))
-    fr = np.subtract(flat[n:], flat[:-n], out=flux[:cE.size])
-    fr *= cE.reshape(-1)
-    np.subtract(fr[:-n], fr[n:], out=inner)
-    fa = np.subtract(flat[1:], flat[:-1], out=flux[:size - 1])
-    flux.reshape(x.shape)[:, :-1] *= cN  # the wrapped column stays unscaled
-    inner += fa[n - 1:size - n - 1]
-    inner -= fa[n:size - n]
-    out[[0, -1]] = 0.0
-    out[:, [0, -1]] = 0.0
-    return out
-
-
 def residual(cE, cN, u, axis_weight=1.0):
     """(b - A u, ||b - A u||_2 / ||b||_2) for the frozen system of cE and cN,
     b what the boundary values of u contribute; ||b|| is formed on the four
@@ -267,10 +241,11 @@ def residual(cE, cN, u, axis_weight=1.0):
 
 
 def vcycle(levels, f, work, x, depth=0):
-    """One V-cycle for A x = f from x = 0; f and x vanish on the boundary.
+    """One V-cycle for A x = f from x = 0: x vanishes on the boundary, and
+    the boundary values of f do not enter it.
 
-    Overwrites the interior of x and returns it; work is the workspace (see
-    the module docstring).
+    Overwrites x and returns it; work is the workspace (see the module
+    docstring).
     """
     level = levels[depth]
     n_r, n_phi = f.shape
@@ -283,7 +258,12 @@ def vcycle(levels, f, work, x, depth=0):
         np.sum(prod, axis=1, out=inner.reshape(-1))
         x[1:-1, 1:-1] = inner
         return x
-    res = _kernels.presmooth(x, level.system, f, work)
+    # the first pre-smoothing sweep, from x = 0, is the product (OMEGA / s) f
+    np.multiply(level.system[2], f, out=x)
+    for _ in range(SWEEPS - 1):
+        _kernels.sor_sweep(x, level.system, f, work)
+    res = apply(level.cE, level.cN, x, _kernels.work_array(work, "res", f.shape), work)
+    np.subtract(f, res, out=res)
     coarse = levels[depth + 1].shape
     if coarse[0] < n_r:
         res = _restrict(res, 0, _kernels.work_array(work, "restrict_r", (coarse[0], n_phi)), work)
@@ -295,7 +275,8 @@ def vcycle(levels, f, work, x, depth=0):
     if coarse[0] < n_r:
         xc = _prolong(xc, 0, _kernels.work_array(work, "prolong_r", f.shape))
     x += xc
-    _kernels.sor_sweep(x, level.system, f, work)
+    for _ in range(SWEEPS):
+        _kernels.sor_sweep(x, level.system, f, work)
     return x
 
 

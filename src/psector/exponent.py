@@ -69,9 +69,11 @@ def radial_exponent_inf(nu: float) -> float:
 def radial_exponent(nu, p) -> float:
     """Radial exponent k(nu, p), branch k1 of the closed form.
 
-    Special paths: p = 2 gives k = nu exactly; nu = 1/2 gives the limit
-    (p-1)/p; p = inf uses the piecewise sup-norm form.  Result is finite
-    and positive.
+    Special paths: p = 2 gives k = nu exactly; p = inf uses the piecewise
+    sup-norm form.  For nu < 1, k1 = 2(p-1) nu^2 / n, with n the conjugate
+    root's numerator (radial_exponent_roots), divides by no power of
+    2 nu - 1, so it holds down to nu = 1/2, where it is the limit (p-1)/p
+    exactly.  Result is finite and positive.
     """
     nu = _as_nu(nu)
     p = _as_p(p)
@@ -79,8 +81,11 @@ def radial_exponent(nu, p) -> float:
         return radial_exponent_inf(nu)
     if p == 2.0:
         return nu
-    if abs(2.0 * nu - 1.0) < NU_HALF_EPS:
-        return (p - 1.0) / p
+    if nu < 1.0:
+        # the conjugate root k2 = n / (2(p-1)(2nu - 1)) is not formed: at
+        # nu = 1/2 it divides by zero
+        n = _conjugate_numerator(nu, p, math.sqrt(_discriminant(nu, p)))
+        return 2.0 * (p - 1.0) * nu * nu / n
     return radial_exponent_roots(nu, p)[0]
 
 

@@ -53,9 +53,9 @@ REGION_S2NU = "S_2nu"
 REGION_SNU = "S_nu"
 
 # relative residual at which a p != 2 Picard cycle's CG solve stops; on the
-# six 256^2 acceptance cases 1e-3 took the same 72 Picard cycles, with 47%
-# more CG iterations (207 against 141) and 0.73-0.93 s against 0.59-0.69 s
-# (five runs each, 2-core VM)
+# six 256^2 acceptance cases 1e-3 took 71 Picard cycles against 75, with 20%
+# more CG iterations (159 against 132), and 0.64-0.92 s against 0.60-0.70 s
+# (eight alternated runs each, slower in 7 of 8, 2-core VM)
 CG_RTOL = 1e-2
 # Anderson mixing depth of the p < 2 Picard stages, two fields per unit:
 # depths 1 to 5 took 14, 11, 10, 10 and 10 final-stage cycles on (1, 1.5) at

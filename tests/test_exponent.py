@@ -63,6 +63,17 @@ class TestClosedForm:
         for p in [1.5, 2.0, 3.0, 10.0]:
             assert radial_exponent(0.5, p) == pytest.approx((p - 1) / p, abs=1e-12)
 
+    def test_aperture_condition_just_above_half(self):
+        # the closed form holds down to nu = 1/2 with no limit switch: the
+        # residual read up to 6.3e-8 at nu = 0.5 + 5e-9 where the limit
+        # (p-1)/p stood in for k, and reads at most 5.1e-12 here
+        for dnu in (0.0, 1e-12, 1e-10, 8e-10, 1e-9, 3e-9, 5e-9, 9.9e-9, 1e-8):
+            for p in (1.05, 1.5, 3.0, 10.0, 100.0):
+                k = radial_exponent(0.5 + dnu, p)
+                assert abs(exponent_condition_residual(k, 0.5 + dnu, p)) <= 1e-10, (dnu, p)
+        for p in P_GRID:
+            assert radial_exponent(0.5, p) == (p - 1.0) / p
+
     def test_sup_case_piecewise(self):
         assert radial_exponent(0.5, math.inf) == 1.0
         assert radial_exponent(1.0, math.inf) == 1.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psector import _kernels
+from psector import _kernels, _multigrid
 
 
 SHAPES = [(40, 40), (35, 37), (33, 48), (48, 33)]
@@ -27,40 +27,39 @@ def node_coefficients(cE, cN):
     return aW, aE, aS, aN
 
 
-def reference_color(u, aW, aE, aS, aN, color, rhs):
-    # the original masked half-sweep: the Gauss-Seidel value for both
-    # colours, then a parity mask keeps one; the reference the strided
-    # kernels must match
-    n_r, n_phi = u.shape
-    nbr = aW[1:-1, 1:-1] * u[:-2, 1:-1] + aE[1:-1, 1:-1] * u[2:, 1:-1]
-    nbr += aS[1:-1, 1:-1] * u[1:-1, :-2] + aN[1:-1, 1:-1] * u[1:-1, 2:]
-    nbr += rhs[1:-1, 1:-1]
-    s = (aW[1:-1, 1:-1] + aE[1:-1, 1:-1]) + (aS[1:-1, 1:-1] + aN[1:-1, 1:-1])
-    ii, jj = np.indices((n_r - 2, n_phi - 2))
-    mask = ((ii + jj) & 1) == color
-    u[1:-1, 1:-1] = np.where(mask, nbr / s, u[1:-1, 1:-1])
+def reference_residual(u, cE, cN, rhs):
+    # rhs - A u written out node by node at the interior nodes
+    aW, aE, aS, aN = node_coefficients(cE, cN)
+    res = np.zeros_like(u)
+    for i in range(1, u.shape[0] - 1):
+        for j in range(1, u.shape[1] - 1):
+            s = aW[i, j] + aE[i, j] + aS[i, j] + aN[i, j]
+            res[i, j] = rhs[i, j] - (s * u[i, j]
+                                     - aW[i, j] * u[i - 1, j] - aE[i, j] * u[i + 1, j]
+                                     - aS[i, j] * u[i, j - 1] - aN[i, j] * u[i, j + 1])
+    return res
 
 
-def reference_sweeps(u, coef, n, rhs, colors=(1, 0)):
-    # n sweeps, relaxing the colours in the given order: (1, 0) is
-    # sor_sweep's, (0, 1) presmooth's
-    a = node_coefficients(*coef)
-    for _ in range(n):
-        for color in colors:
-            reference_color(u, *a, color, rhs)
-    return u
+def reference_sweep(u, cE, cN, rhs):
+    # u + (OMEGA / s) (rhs - A u) into a new array, with the node-by-node
+    # residual, which is 0 on the boundary
+    aW, aE, aS, aN = node_coefficients(cE, cN)
+    s = aW + aE + aS + aN
+    return u + _kernels.OMEGA / s * reference_residual(u, cE, cN, rhs)
 
 
 def test_sweep_solves_laplace():
-    # unit-coefficient sweeps must converge to the 5-point harmonic solution;
-    # Gauss-Seidel contracts by about cos(pi / 32)^2 a sweep at this size and
-    # reaches 1e-12 after 2288 sweeps
+    # unit-coefficient sweeps must converge to the 5-point harmonic solution.
+    # Damped Jacobi contracts the smoothest error mode by
+    # 1 - 0.8 (1 - cos(pi / 32)) = 0.99615 a sweep at this size, so the
+    # 2288 sweeps Gauss-Seidel took (cos(pi / 32)^2 = 0.99039 a sweep) scale
+    # to about 5723; it reaches 1e-12 after 5543
     n = 33
     u = np.zeros((n, n))
     u[-1, :] = 1.0
     rhs = np.zeros_like(u)
     system, work = _kernels.sor_system(np.ones((n - 1, n)), np.ones((n, n - 1))), {}
-    for _ in range(2600):
+    for _ in range(6500):
         _kernels.sor_sweep(u, system, rhs, work)
     # interior harmonic: each value is the mean of its 4 neighbors
     resid = np.abs(
@@ -84,76 +83,55 @@ def test_dirichlet_rows_untouched():
         assert np.array_equal(u[:, -1], edges[3])
 
 
+# the kernel forms A u as differences of edge fluxes, the reference as
+# s u minus the neighbour sum, so the two round apart: a few ulps of the
+# O(1) terms of a node, well inside 1e-13
+SWEEP_RTOL = 1e-13
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_system_built_once_matches_reference(shape):
+    # one system and one workspace through 50 sweeps: each sweep equals the
+    # node-by-node sweep of the field it started from
     u, coef = symmetric_system(shape, seed=1)
     rhs = np.zeros_like(u)
-    v = u.copy()
     system, work = _kernels.sor_system(*coef), {}
     for _ in range(50):
-        _kernels.sor_sweep(v, system, rhs, work)
-    ref = reference_sweeps(u, coef, 50, rhs)
-    assert np.isfinite(ref).all()
-    assert np.array_equal(v, ref)
+        want = reference_sweep(u, *coef, rhs)
+        _kernels.sor_sweep(u, system, rhs, work)
+        assert np.max(np.abs(u - want)) <= SWEEP_RTOL * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_sweep_with_rhs_matches_reference(shape):
     u, coef = symmetric_system(shape, seed=2)
     rhs = np.random.default_rng(3).standard_normal(shape)
-    v = u.copy()
-    system, work = _kernels.sor_system(*coef), {}
-    for _ in range(50):
-        _kernels.sor_sweep(v, system, rhs, work)
-    ref = reference_sweeps(u, coef, 50, rhs)
-    assert np.isfinite(ref).all()
-    assert np.array_equal(v, ref)
-
-
-def reference_residual(u, cE, cN, rhs):
-    # rhs - A u written out node by node at the interior nodes
-    aW, aE, aS, aN = node_coefficients(cE, cN)
-    res = np.zeros_like(u)
-    for i in range(1, u.shape[0] - 1):
-        for j in range(1, u.shape[1] - 1):
-            s = aW[i, j] + aE[i, j] + aS[i, j] + aN[i, j]
-            res[i, j] = rhs[i, j] - (s * u[i, j]
-                                     - aW[i, j] * u[i - 1, j] - aE[i, j] * u[i + 1, j]
-                                     - aS[i, j] * u[i, j - 1] - aN[i, j] * u[i, j + 1])
-    return res
-
-
-def colors(shape):
-    # the colour sor_system gives node (i, j)
-    ii, jj = np.indices(shape)
-    return (ii + jj) & 1
+    want = reference_sweep(u, *coef, rhs)
+    _kernels.sor_sweep(u, _kernels.sor_system(*coef), rhs, {})
+    assert np.isfinite(want).all()
+    assert np.max(np.abs(u - want)) <= SWEEP_RTOL * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_second_color_residual_vanishes_after_a_sweep(shape):
-    # the colour-1 half-sweep solves the colour-1 equations against the
-    # final colour-0 values, which is why presmooth keeps colour 0's only
-    u, coef = symmetric_system(shape, seed=6)
-    rhs = np.random.default_rng(7).standard_normal(shape)
-    reference_sweeps(u, coef, 1, rhs, (0, 1))
-    res = np.abs(reference_residual(u, *coef, rhs))
-    color = colors(shape)
-    assert res[color == 0].max() > 0.0
-    assert res[color == 1].max() <= 1e-12 * res[color == 0].max()
-
-
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_presmooth_is_a_sweep_from_zero(shape):
-    # the field equals a colour-(0, 1) sweep's from zero bitwise; the
-    # residual is the node-by-node one, whose colour-1 part is rounding
+def test_vcycle_presmooth_is_two_sweeps_from_zero(shape, monkeypatch):
+    # the V-cycle forms its first pre-smoothing sweep as the product
+    # (OMEGA / s) f; with the second sweep, the finest level's iterate
+    # equals two sweeps from a zero field bit for bit
     _, coef = symmetric_system(shape, seed=8)
-    rhs = np.zeros(shape)
-    rhs[1:-1, 1:-1] = np.random.default_rng(9).standard_normal((shape[0] - 2, shape[1] - 2))
-    fast = np.zeros(shape)
-    res = _kernels.presmooth(fast, _kernels.sor_system(*coef), rhs, {})
-    swept = reference_sweeps(np.zeros(shape), coef, 1, rhs, (0, 1))
-    assert np.array_equal(fast, swept)
-    assert np.array_equal(np.signbit(fast), np.signbit(swept))
-    ref = reference_residual(swept, *coef, rhs)
-    assert np.all(res[colors(shape) == 1] == 0.0)
-    assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))
+    coef[1][:, 0] = 0.0  # a half-grid system, as pcg serves
+    levels = _multigrid.hierarchy(*coef)
+    f = np.zeros(shape)
+    f[1:-1, 1:-1] = np.random.default_rng(9).standard_normal((shape[0] - 2, shape[1] - 2))
+    sweep, seen = _kernels.sor_sweep, []
+
+    def recorded(u, system, rhs, work):
+        sweep(u, system, rhs, work)
+        seen.append(u.copy())
+
+    monkeypatch.setattr(_kernels, "sor_sweep", recorded)
+    _multigrid.vcycle(levels, f, {}, np.zeros(shape))
+    want = np.zeros(shape)
+    for _ in range(2):
+        sweep(want, levels[0].system, f, {})
+    assert len(levels) > 1 and _multigrid.SWEEPS == 2
+    assert np.array_equal(seen[0], want)

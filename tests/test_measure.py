@@ -298,13 +298,13 @@ class TestSolveMeasure:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_each_cycle_releases_its_levels(self, monkeypatch, p):
         # a p != 2 cycle's levels are freed when its CG solve returns: no
-        # p != 2 system is assembled while an earlier hierarchy's packed
-        # coefficients live
+        # p != 2 system is assembled while an earlier hierarchy's smoother
+        # weights live
         build, energy, refs, checked = _multigrid.hierarchy, _cell_energy, [], []
 
         def recorded(cE, cN):
             levels = build(cE, cN)
-            refs.append(weakref.ref(levels[0].system[0][0][5]))
+            refs.append(weakref.ref(levels[0].system[2]))
             return levels
 
         def released(u, r, dphi, q, eps2, coefficients=True, mirror=None):

@@ -132,38 +132,20 @@ def reference_prolong(xc, axis, n):
     return out
 
 
-def reference_presmooth(u, system, rhs):
-    def neighbour_sum(block):
-        _, at_w, at_e, at_s, at_n, aW, aE, aS, aN, _ = block
-        nbr = aW * u[at_w]
-        nbr += aE * u[at_e]
-        t = aS * u[at_s]
-        t += aN * u[at_n]
-        nbr += t
-        return nbr
-
-    for block in system[0]:
-        np.divide(rhs[block[0]], block[-1], out=u[block[0]])
-    for block in system[1]:
-        nbr = neighbour_sum(block)
-        nbr += rhs[block[0]]
-        np.divide(nbr, block[-1], out=u[block[0]])
-    res = np.zeros_like(u)
-    for block in system[0]:
-        res[block[0]] = neighbour_sum(block)
-    return res
-
-
 def reference_vcycle(levels, f, depth=0):
     # the V-cycle as it was before its work arrays were kept in a
-    # workspace: every level allocates its iterate, residual and transfers
+    # workspace: every level allocates its iterate, residual and transfers,
+    # and every sweep starts from a fresh workspace; the pre-smooth is
+    # SWEEPS sweeps from zero
     level = levels[depth]
     x = np.zeros_like(f)
     if level.inverse is not None:
         x[1:-1, 1:-1] = (level.inverse * f[1:-1, 1:-1].ravel()).sum(axis=1).reshape(
             f.shape[0] - 2, f.shape[1] - 2)
         return x
-    res = reference_presmooth(x, level.system, f)
+    for _ in range(_multigrid.SWEEPS):
+        _kernels.sor_sweep(x, level.system, f, {})
+    res = f - _multigrid.apply(level.cE, level.cN, x)
     n_r, n_phi = f.shape
     coarse = levels[depth + 1].shape
     if coarse[0] < n_r:
@@ -176,7 +158,8 @@ def reference_vcycle(levels, f, depth=0):
     if coarse[0] < n_r:
         xc = reference_prolong(xc, 0, n_r)
     x += xc
-    _kernels.sor_sweep(x, level.system, f, {})
+    for _ in range(_multigrid.SWEEPS):
+        _kernels.sor_sweep(x, level.system, f, {})
     return x
 
 
@@ -517,6 +500,8 @@ def test_apply_over_the_raveled_field_matches_the_2d_form_bitwise(shape):
     x = np.random.default_rng(14).random(shape)
     want = reference_apply(cE, cN, x)
     assert np.array_equal(_multigrid.apply(cE, cN, x), want)
+    # a Fortran-ordered x, such as a transposed transfer leaves, reads the same
+    assert np.array_equal(_multigrid.apply(cE, cN, np.asfortranarray(x)), want)
     out = np.full(shape, np.nan)
     assert _multigrid.apply(cE, cN, x, out, {}) is out
     assert np.array_equal(out, want)
