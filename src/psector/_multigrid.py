@@ -9,16 +9,17 @@ of the grid, with Dirichlet data on rows and columns 0 and -1:
 
 cE[i, j] couples nodes (i, j) and (i + 1, j), cN[i, j] nodes (i, j) and
 (i, j + 1).  Both solvers work in place from u and its residual
-r = residual(cE, cN, u)[0].  At p = 2 the coefficients are constant along
-phi and sine_solve(u, cE, cN, r) solves directly, on the full grid: a DST-I
-in phi, one tridiagonal solve in r per sine mode, and the inverse DST-I.  At
-p != 2 the system is that of the mirror half of the grid (measure._fold):
-column 0 is the mirror column, whose edges cN[:, 0] are 0, so no flux
-crosses it, column 1 is the axis or the first column past it, and column -1
-the wall.  hierarchy(cE, cN) builds the levels once per cycle and
+r = residual(cE, cN, u)[0].  A measure solve starts at p = 2, whose
+coefficients are constant along phi, and sine_solve(u, cE, cN, r) solves
+that directly, on the full grid: a DST-I in phi, one tridiagonal solve in r
+per sine mode, and the inverse DST-I.  Every later cycle, p = 2 included,
+solves the system of the mirror half of the grid (measure._fold): column 0
+is the mirror column, whose edges cN[:, 0] are 0, so no flux crosses it,
+column 1 is the axis or the first column past it, and column -1 the wall.
+hierarchy(cE, cN) builds the levels once per cycle and
 pcg(u, levels, rtol, r, work) solves, warm-started.  Every level, its
-operator (_kernels.apply) and its smoother (_kernels.sor_system) use this one
-edge layout; the finest level holds the caller's cE and cN, not copies.
+operator (_kernels.apply) and its smoother (_kernels.sor_system) use this
+one edge layout; the finest level holds the caller's cE and cN, not copies.
 
 Each coarser level halves an axis, keeping the even-index nodes and the last
 one, and stays a 5-point operator: along a coarsened axis two fine edges

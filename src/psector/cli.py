@@ -29,6 +29,7 @@ from .exponent import (
     radial_exponent_roots,
 )
 from .profile import ProfileInvariantError
+from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -199,16 +200,11 @@ def cmd_measure(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-SUITES = ("exponent", "profile", "pde", "measure", "stream", "phragmen", "all")
-
-
 def cmd_verify(args, cfg: CliConfig) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}",
               file=sys.stderr)
         return EXIT_USAGE
-    from .verify import run_suites
-
     os.makedirs(cfg.out_dir, exist_ok=True)
     reports = run_suites(args.suite, quick=args.quick, out_dir=cfg.out_dir, seed=cfg.seed)
     failed = []

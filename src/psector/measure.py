@@ -7,16 +7,17 @@ a small truncation ring near the apex.  The energy is one cell quadrature
 (_cell_energy), and its gradient is the 5-point operator with the nonlinear
 coefficient (|grad u|^2 + eps^2)^((p-2)/2) frozen at u.  The iteration is
 lagged diffusivity (Kacanov): each cycle freezes the coefficient at the
-current iterate and solves the linear equation.  At p = 2 the coefficient is
-1, the frozen system is the 5-point Laplacian of the log-polar grid, separable
-in r and phi, and one direct solve (_multigrid.sine_solve) converges the stage
-in one cycle.  At p != 2 the solve is warm-started conjugate gradients
-preconditioned with one geometric-multigrid V-cycle per step (_multigrid), to
-CG_RTOL times the cycle's starting residual.  For p <= 2 the frozen quadratic
-majorizes the energy, so no cycle raises it.  The sector and the arc data
-are even in phi, and so is the strictly convex energy's unique minimizer:
-every p != 2 stage runs on the mirror half of the grid (_fold), from the
-axis to one wall, and the field is reflected back at return (_unfold).
+current iterate and solves the linear equation.  Every solve starts at
+p = 2, where the coefficient is 1 and the frozen system is the 5-point
+Laplacian of the log-polar grid, separable in r and phi: one direct solve
+on the full grid (_multigrid.sine_solve).  The sector and the arc data are
+even in phi, and so is the strictly convex energy's unique minimizer: the
+field is then folded once onto the mirror half of the grid (_fold), from
+the axis to one wall, every later cycle runs there, and the field is
+reflected back at return (_unfold).  Their linear solve is warm-started
+conjugate gradients preconditioned with one geometric-multigrid V-cycle per
+step (_multigrid), to CG_RTOL times the cycle's starting residual.  For
+p <= 2 the frozen quadratic majorizes the energy, so no cycle raises it.
 Around the plain Picard loop: continuation in p from the linear problem
 (steps of at most 1, warm-started); in p > 2 stages, adaptive damping of the
 Picard step triggered by the one observed instability signature, period-2
@@ -25,10 +26,10 @@ converges only linearly, Anderson mixing of the last ANDERSON_DEPTH steps,
 each mixed iterate taken only if its energy is at most that of the plain
 Picard result, so the energy still never rises.  A stage stops on the
 relative residual its cycle's linear solve starts from, or after CAPPED_STOP
-consecutive capped CG solves.  Each cycle appends one Cycle record: the stage
-p, the discrete energy of the stage being solved (its own p), the number of
-CG iterations (0 for the direct p = 2 solve) and whether a mixed iterate was
-taken, as convergence diagnostics.
+consecutive capped CG solves.  The direct start and each cycle append one
+Cycle record: the stage p, the discrete energy of the stage being solved (its
+own p), the number of CG iterations (0 for the direct start) and whether a
+mixed iterate was taken, as convergence diagnostics.
 
 mc_harmonic_measure is an independent walk-on-spheres Monte Carlo oracle for
 the p = 2 case.  fit_slope extracts the radial decay exponent from a solved
@@ -59,7 +60,8 @@ REGION_SNU = "S_nu"
 CG_RTOL = 1e-2
 # Anderson mixing depth of the p < 2 Picard stages, two fields per unit:
 # depths 1 to 5 took 14, 11, 10, 10 and 10 final-stage cycles on (1, 1.5) at
-# 256^2 (21 unmixed), and 39, 37, 38, 36 and 35 on (1, 1.1) at 128^2 (105)
+# 256^2 (21 unmixed), and 38, 37, 36, 38 and 37 on (1, 1.1) at 128^2 (105),
+# with the damped Jacobi smoother
 ANDERSON_DEPTH = 3
 # a solve stops after this many consecutive capped CG solves (stop_reason
 # "cg_capped"); the converging cases have none
@@ -119,9 +121,11 @@ class MeasureProblem:
 
 class Cycle(NamedTuple):
     """One Picard cycle: its stage p, the energy of the field it starts from
-    at that p, the CG iterations of its inner solve (0 at p = 2, whose solve
-    is direct), and whether it took the Anderson-mixed iterate (None where
-    none was tried: p >= 2 stages and the first cycle of a p < 2 stage)."""
+    at that p, the CG iterations of its inner solve (0 for the direct start,
+    every solve's first cycle; a p = 2 cycle after it runs CG, which only a
+    tol below the direct solve's rounding floor makes), and whether it took
+    the Anderson-mixed iterate (None where none was tried: p >= 2 stages and
+    the first cycle of a p < 2 stage)."""
 
     p: float
     energy: float
@@ -245,7 +249,7 @@ def _boundary_data(problem: MeasureProblem, phi: np.ndarray) -> np.ndarray:
     return arc
 
 
-def _cell_energy(u, r, dphi, p, eps2, coefficients=True, mirror=None):
+def _cell_energy(u, r, dphi, p, eps2, mirror=None):
     """Energy E of u at exponent p and the edge coefficients frozen at u.
 
     Cell c lies between radii i, i + 1 and angles j, j + 1 and has area
@@ -255,17 +259,18 @@ def _cell_energy(u, r, dphi, p, eps2, coefficients=True, mirror=None):
     An edge's coefficient is half the sum of A_c (g_c + eps2)^((p-2)/2) over
     its one or two cells, divided by its squared length, hr^2 or (r dphi)^2:
     the frozen operator (_multigrid.apply) is the gradient of E at u.
-    Returns (E, cE, cN) in the shapes hierarchy takes, or E without coefficients.
+    Returns (E, cE, cN) in the shapes hierarchy takes.
 
-    mirror is None on the full grid.  On the mirror half (_fold) it is the
-    full grid's n_phi % 2, and column 0 of u holds the mirror image of column
-    1 + mirror.  The cells between columns 0 and 1 then weigh 1/2 in the
-    energy and 1 in the coefficients for even n_phi, where each lies across
-    the axis and is its own mirror image, and 0 in both for odd n_phi, where
-    they mirror the cells between columns 1 and 2.  cN[:, 0] is 0, and E is
-    doubled: the full grid's energy.  The frozen system's equations are then
-    the full grid's on columns 1 and on, but for odd n_phi on column 1, the
-    axis, where they are halved (_multigrid.residual's axis_weight).
+    mirror is None on the full grid, where solve_measure's direct start forms
+    its p = 2 system.  On the mirror half (_fold) it is the full grid's
+    n_phi % 2, and column 0 of u holds the mirror image of column 1 + mirror.
+    The cells between columns 0 and 1 then weigh 1/2 in the energy and 1 in
+    the coefficients for even n_phi, where each lies across the axis and is
+    its own mirror image, and 0 in both for odd n_phi, where they mirror the
+    cells between columns 1 and 2.  cN[:, 0] is 0, and E is doubled: the full
+    grid's energy.  The frozen system's equations are then the full grid's on
+    columns 1 and on, but for odd n_phi on column 1, the axis, where they are
+    halved (_multigrid.residual's axis_weight).
     """
     hr, ha = np.diff(r), r * dphi
     dr2 = (np.diff(u, axis=0) / hr[:, None]) ** 2
@@ -282,8 +287,6 @@ def _cell_energy(u, r, dphi, p, eps2, coefficients=True, mirror=None):
     energy = float(np.einsum("i,ij->", area, g)) / p
     if mirror is not None:
         energy *= 2.0
-    if not coefficients:
-        return energy
     del g  # not held through the coefficients or the solve
     w *= 0.5 * area[:, None]
     cE = np.zeros((len(r) - 1, u.shape[1]))
@@ -336,34 +339,31 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     consecutive capped CG solves ("cg_capped"), or after max_iter cycles in
     all ("max_iter").  Non-convergence is reported, not raised.
 
+    The solve starts with the p = 2 system at the Dirichlet data and a zero
+    interior.  Its coefficient (g + eps^2)^0 is exactly 1, so its edge
+    coefficients depend on the grid alone and are constant along phi: one
+    direct solve on the full grid (_multigrid.sine_solve), recorded as a
+    first cycle with cg = 0, leaves a residual at the rounding floor.  The
+    field is then folded once onto the mirror half (_fold), where every
+    stage runs, p = 2 included, on _cell_energy's half-grid system; at any
+    tol above the floor a p = 2 solve stops at its first check.  After each
+    linear solve the mirror column copies its image again, and the returned
+    field is reflected back (_unfold), so it equals its mirror image bit for
+    bit.  The half grid's residual is the full grid's: its equations are the
+    full grid's, but for odd n_phi on the axis column, which carries half of
+    each and whose squares the check weighs 2 (_multigrid.residual's
+    axis_weight).
+
     Each stage forms the frozen system (energy, cE, cN) at its first iterate,
     and each cycle forms it again at the iterate it ends on, for the next
-    cycle's check.  A p < 2 stage mixes each cycle's clipped Picard result g
-    with the last ANDERSON_DEPTH differences (_anderson_mix) and takes the
-    mixed iterate only if its energy is at most g's; otherwise it takes g and
+    cycle's check.  A cycle hands pcg a hierarchy of its system that is
+    freed when pcg returns, and one workspace (_multigrid) for all the
+    stage's cycles, so the CG and V-cycle work arrays are allocated once per
+    stage.  A p < 2 stage mixes each cycle's clipped Picard result g with
+    the last ANDERSON_DEPTH differences (_anderson_mix) and takes the mixed
+    iterate only if its energy is at most g's; otherwise it takes g and
     restarts the history.  The mixing test forms the system of both
     candidates, so a mixing cycle costs one extra _cell_energy call.
-
-    At p = 2 the coefficient (g + eps^2)^0 is exactly 1, so the frozen system
-    depends on the grid alone and its edge coefficients are constant along
-    phi: the p = 2 stage solves it directly (_multigrid.sine_solve, a cycle
-    with cg = 0), from the Dirichlet data and a zero interior, since a
-    direct solve returns the same discrete field from any start.  That
-    leaves a residual at the rounding floor, so at any tol above that floor
-    the stage converges in one cycle; the check after it forms only the
-    energy.  Every other stage hands pcg a hierarchy of the
-    cycle's system that is freed when pcg returns, and one workspace
-    (_multigrid) for all its cycles, so the CG and V-cycle work arrays are
-    allocated once per stage.
-
-    The p = 2 stage runs on the full grid.  Before the first p != 2 stage
-    the iterate is folded once onto the mirror half (_fold), and every p != 2
-    stage runs there, on _cell_energy's half-grid system: after each linear
-    solve the mirror column copies its image again, and the returned field is
-    reflected back (_unfold), so it equals its mirror image bit for bit.  The
-    half grid's residual is the full grid's: its equations are the full
-    grid's, but for odd n_phi on the axis column, which carries half of each
-    and whose squares the check weighs 2 (_multigrid.residual's axis_weight).
 
     final_residual is that residual at the returned field with the problem's
     p: the last check's, evaluated once more if the solve stops in an earlier
@@ -375,23 +375,23 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
     u = np.zeros((pr.n_r, pr.n_phi))
     u[-1, :] = _boundary_data(pr, phi)
     eps2 = pr.eps_reg**2
-    cycles = []
-    # None while u is the full grid, n_phi % 2 once it is the mirror half
-    mirror, axis_weight = None, 1.0
+    # the direct start: the p = 2 system at the Dirichlet data and a zero
+    # interior, solved on the full grid
+    state = _cell_energy(u, r, dphi, 2.0, eps2)
+    _multigrid.sine_solve(u, *state[1:], _multigrid.residual(*state[1:], u)[0])
+    np.clip(u, 0.0, 1.0, out=u)
+    cycles = [Cycle(2.0, state[0], 0, None)]
+    mirror = pr.n_phi % 2
+    axis_weight = 2.0 if mirror else 1.0
+    u = _fold(u)
     # continuation in p from the linear case, stepping by at most 1, so the
     # strongly nonlinear stages start from a nearby solution and the
     # coefficient spikes of a cold p > 2 start never form
-    stages = [2.0]
-    if pr.p != 2.0:
-        stages += [float(q) for q in range(3, math.ceil(pr.p - 1e-12))] + [pr.p]
+    stages = [float(q) for q in range(3, math.ceil(pr.p - 1e-12))] + [pr.p]
     for stage in stages:
         # the last stage's step and frozen system are dropped before this
         # stage assembles its own
         du_prev = state = res = uold = du = None
-        if stage != 2.0 and mirror is None:
-            mirror = pr.n_phi % 2
-            axis_weight = 2.0 if mirror else 1.0
-            u = _fold(u)
         tol = pr.tol if stage == pr.p else max(100.0 * pr.tol, 1e-7)
         tau = 1.0
         capped_run = 0
@@ -420,15 +420,11 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 break
             energy = state[0]
             uold = u.copy()
-            if stage == 2.0:
-                _multigrid.sine_solve(u, *state[1:], res)
-                cg = 0
-            else:
-                # the cycle's levels are freed when pcg returns, and their
-                # finest cE and cN with state
-                cg = _multigrid.pcg(u, _multigrid.hierarchy(*state[1:]), CG_RTOL, res, work)
-                u[:, 0] = u[:, 1 + mirror]  # the mirror column follows its image
-                del state
+            # the cycle's levels are freed when pcg returns, and their finest
+            # cE and cN with state
+            cg = _multigrid.pcg(u, _multigrid.hierarchy(*state[1:]), CG_RTOL, res, work)
+            u[:, 0] = u[:, 1 + mirror]  # the mirror column follows its image
+            del state
             np.clip(u, 0.0, 1.0, out=u)
             du = u - uold
             taken = None
@@ -470,9 +466,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
                 du_prev = du
             cycles.append(Cycle(stage, energy, cg, taken))
             capped_run = capped_run + 1 if cg >= _multigrid.MAX_CG else 0
-            if stage == 2.0:  # the coefficients depend on the grid alone
-                state = (_cell_energy(u, r, dphi, stage, eps2, False),) + state[1:]
-            elif taken is None:  # else the mixing test formed it
+            if taken is None:  # else the mixing test formed it
                 state = _cell_energy(u, r, dphi, stage, eps2, mirror=mirror)
         if stop != "converged":
             break
@@ -484,7 +478,7 @@ def solve_measure(problem: MeasureProblem) -> MeasureSolution:
         problem=pr,
         r=r,
         phi=phi,
-        omega=u if mirror is None else _unfold(u, pr.n_phi),
+        omega=_unfold(u, pr.n_phi),
         stop_reason=stop,
         cycles=cycles,
         final_residual=resid,

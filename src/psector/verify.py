@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .exponent import dk_dnu, dk_dp, exponent_condition_residual, radial_exponent
+from .exponent import DomainError, dk_dnu, dk_dp, exponent_condition_residual, radial_exponent
 from .experiments import (
     MC_WALKS,
     NU_GRID,
@@ -171,21 +171,28 @@ def phragmen_suite() -> list[ExperimentReport]:
     return [run_phragmen_check(nu, p) for nu, p in PHRAGMEN_CASES]
 
 
+# each suite's reports from (quick, seed), in the order `all` runs and numbers them
+_RUNS = {
+    "exponent": lambda quick, seed: exponent_suite(),
+    "profile": lambda quick, seed: profile_suite(),
+    "pde": lambda quick, seed: pde_suite(quick),
+    "stream": lambda quick, seed: stream_suite(),
+    "phragmen": lambda quick, seed: phragmen_suite(),
+    "measure": lambda quick, seed: measure_suite(quick, seed),
+}
+SUITES = (*_RUNS, "all")
+
+
 def run_suites(suite: str, quick: bool = False, out_dir: str = ".",
                seed: int = 0) -> list[ExperimentReport]:
+    """Run one suite of SUITES, or all of them, and write report i's files as
+    <experiment_id>_<ii>.json and .csv; an unknown name raises DomainError."""
+    if suite not in SUITES:
+        raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     reports = []
-    if suite in ("exponent", "all"):
-        reports += exponent_suite()
-    if suite in ("profile", "all"):
-        reports += profile_suite()
-    if suite in ("pde", "all"):
-        reports += pde_suite(quick)
-    if suite in ("stream", "all"):
-        reports += stream_suite()
-    if suite in ("phragmen", "all"):
-        reports += phragmen_suite()
-    if suite in ("measure", "all"):
-        reports += measure_suite(quick, seed)
+    for name, run in _RUNS.items():
+        if suite in (name, "all"):
+            reports += run(quick, seed)
     for i, rep in enumerate(reports):
         stem = f"{rep.experiment_id}_{i:02d}"
         rep.write_json(os.path.join(out_dir, stem + ".json"))

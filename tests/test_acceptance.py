@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from psector.exponent import (
-    conjugate_exponent,
     dk_dnu,
     dk_dp,
     exponent_condition_residual,
@@ -74,13 +73,7 @@ def test_criterion_2_transcendental_self_consistency():
     worst = 0.0
     for nu in NU_GRID:
         for p in P_GRID:
-            if p > 2.0:
-                res = exponent_condition_residual(radial_exponent(nu, p), nu, p)
-            elif p < 2.0:
-                k_conj = (radial_exponent(nu, p) - 1.0) * (p - 1.0) + 1.0
-                res = exponent_condition_residual(k_conj, nu, conjugate_exponent(p))
-            else:
-                res = exponent_condition_residual(nu, nu, 2.0 + 1e-10)
+            res = exponent_condition_residual(radial_exponent(nu, p), nu, p)
             worst = max(worst, abs(res))
     dt = time.time() - t0
     assert worst <= 1e-9

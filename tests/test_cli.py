@@ -13,6 +13,7 @@ from psector.cli import CliConfig, main
 from psector.exponent import DomainError
 from psector.experiments import MC_WALKS, measure_report
 from psector.profile import read_profile_csv
+from psector.verify import SUITES, run_suites
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +287,13 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == 2
         assert "unknown suite" in err
+        assert err.rstrip().endswith(", ".join(SUITES))
+
+    def test_run_suites_refuses_an_unknown_suite(self, tmp_path):
+        # a misspelt name raises before any suite runs or any file is written
+        with pytest.raises(DomainError, match="unknown suite 'mesure'"):
+            run_suites("mesure", out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_exponent_suite(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "exponent",

@@ -228,7 +228,7 @@ class TestSolveMeasure:
         def energy(sol):
             r, phi = _grids(sol.problem)
             return _cell_energy(sol.omega, r, phi[1] - phi[0], sol.problem.p,
-                                sol.problem.eps_reg**2, False)
+                                sol.problem.eps_reg**2)[0]
 
         tight = solve_measure(dataclasses.replace(harmonic_sol.problem,
                                                   tol=1e-3 * harmonic_sol.problem.tol))
@@ -238,7 +238,7 @@ class TestSolveMeasure:
 
     @pytest.mark.parametrize("nu, p", [case[:2] for case in MEASURE_CASES if case[1] == 2.0])
     def test_p2_field_minimizes_the_energy(self, nu, p):
-        # the p = 2 stage is one direct solve, with no sequence of cycle
+        # a p = 2 solve is its direct start, with no sequence of cycle
         # energies to settle: the solved field is the energy's minimizer, so
         # each +-h perturbation of the interior by a smooth sine mode raises
         # it, by about 3e-12 at h = 1e-6.  On a field whose relative residual
@@ -249,7 +249,7 @@ class TestSolveMeasure:
         r, phi = _grids(pr)
 
         def energy(u):
-            return _cell_energy(u, r, phi[1] - phi[0], p, pr.eps_reg**2, False)
+            return _cell_energy(u, r, phi[1] - phi[0], p, pr.eps_reg**2)[0]
 
         base, h = energy(sol.omega), 1e-6
         x, y = np.linspace(0.0, math.pi, pr.n_r), np.linspace(0.0, math.pi, pr.n_phi)
@@ -260,11 +260,11 @@ class TestSolveMeasure:
                 assert energy(sol.omega + step * mode) > base, (m, n, step)
 
     def test_energy_is_the_stage_energy(self):
-        # a p = 3 solve starts with a p = 2 stage running the same cycles as
-        # the p = 2 solve, so the energies it tags p = 2 are the p = 2
-        # energies, and the first p = 3 cycle records the p = 3 energy of
-        # the p = 2 solution: the doubled sum over its mirror half, which
-        # the stage forms, at even and odd sizes
+        # a p = 3 solve starts with the direct p = 2 solve that a p = 2
+        # solve makes, so the energy it tags p = 2 is the p = 2 energy, and
+        # the first p = 3 cycle records the p = 3 energy of the p = 2
+        # solution: the doubled sum over its mirror half, which the stage
+        # forms, at even and odd sizes
         for n, nu in itertools.product((32, 48, 65, 96, 128), (1.0, 2.0)):
             lin = solve_measure(MeasureProblem(nu=nu, p=2.0, n_r=n, n_phi=n))
             cont = solve_measure(MeasureProblem(nu=nu, p=3.0, n_r=n, n_phi=n))
@@ -277,23 +277,42 @@ class TestSolveMeasure:
             assert energy[:first] == lin_energy
             r, phi = _grids(lin.problem)
             at = functools.partial(_cell_energy, r=r, dphi=phi[1] - phi[0],
-                                   eps2=lin.problem.eps_reg**2, coefficients=False)
-            half = at(_fold(lin.omega), p=3.0, mirror=n % 2)
-            assert energy[first] == half != at(lin.omega, p=2.0), (n, nu)
+                                   eps2=lin.problem.eps_reg**2)
+            half = at(_fold(lin.omega), p=3.0, mirror=n % 2)[0]
+            assert energy[first] == half != at(lin.omega, p=2.0)[0], (n, nu)
 
-    def test_p2_coefficients_assembled_once(self, monkeypatch):
-        # at p = 2 the frozen coefficients do not depend on the field: the
-        # first cycle assembles them, and every later check forms the energy
-        calls = []
+    @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
+    def test_one_direct_solve_starts_every_solve(self, monkeypatch, p):
+        # every solve makes one direct p = 2 solve, before its stage loop;
+        # a converged p = 2 solve makes no CG solve after it
+        sine_solve, pcg, calls = _multigrid.sine_solve, _multigrid.pcg, []
 
-        def counted(*args, **kwargs):
-            calls.append(args[5] if len(args) > 5 else True)
-            return _cell_energy(*args, **kwargs)
+        def direct(*args):
+            calls.append("sine_solve")
+            return sine_solve(*args)
 
-        monkeypatch.setattr(measure, "_cell_energy", counted)
-        sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=48, n_phi=48))
-        assert sol.converged and sol.iterations == 1
-        assert calls == [True] + [False] * sol.iterations
+        def iterative(*args):
+            calls.append("pcg")
+            return pcg(*args)
+
+        monkeypatch.setattr(_multigrid, "sine_solve", direct)
+        monkeypatch.setattr(_multigrid, "pcg", iterative)
+        sol = solve_measure(MeasureProblem(nu=1.0, p=p, n_r=48, n_phi=48))
+        assert sol.converged
+        assert calls[0] == "sine_solve" and calls.count("sine_solve") == 1
+        assert calls.count("pcg") == sol.iterations - 1
+        if p == 2.0:
+            assert calls == ["sine_solve"] and sol.iterations == 1
+
+    def test_p2_below_the_rounding_floor(self):
+        # a tol below the direct solve's rounding floor: the cycles after the
+        # direct start are half-grid CG cycles, and max_iter stops the solve
+        sol = solve_measure(MeasureProblem(nu=1.0, p=2.0, n_r=32, n_phi=33, tol=1e-20,
+                                           max_iter=4))
+        assert sol.stop_reason == "max_iter" and sol.iterations == 4
+        assert [c.p for c in sol.cycles] == [2.0] * 4
+        assert sol.cycles[0].cg == 0 and all(c.cg >= 1 for c in sol.cycles[1:])
+        assert np.array_equal(sol.omega, sol.omega[:, ::-1])
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_each_cycle_releases_its_levels(self, monkeypatch, p):
@@ -307,30 +326,30 @@ class TestSolveMeasure:
             refs.append(weakref.ref(levels[0].system[2]))
             return levels
 
-        def released(u, r, dphi, q, eps2, coefficients=True, mirror=None):
+        def released(u, r, dphi, q, eps2, mirror=None):
             if q != 2.0:
                 assert all(ref() is None for ref in refs), [ref() is None for ref in refs]
                 checked.append(len(refs))
-            return energy(u, r, dphi, q, eps2, coefficients, mirror)
+            return energy(u, r, dphi, q, eps2, mirror)
 
         monkeypatch.setattr(_multigrid, "hierarchy", recorded)
         monkeypatch.setattr(measure, "_cell_energy", released)
         sol = solve_measure(MeasureProblem(nu=1.0, p=p, n_r=48, n_phi=48))
         assert sol.converged
-        # the p = 2 stage builds no levels, and later checks follow at least
+        # the direct start builds no levels, and later checks follow at least
         # one p != 2 cycle's
         assert checked[0] == 0 and max(checked) == len(refs) > 2
 
     @pytest.mark.parametrize("nu, p", [case[:2] for case in MEASURE_CASES] + [(1.0, 1.1)])
     def test_final_stage_energy_never_rises(self, nu, p):
         # the energies each final-stage cycle starts from, then that of the
-        # solved field: a p = 2 solve's one direct cycle lowers it too
+        # solved field: a p = 2 solve's direct start lowers it too
         pr = MeasureProblem(nu=nu, p=p, n_r=128, n_phi=128)
         sol = solve_measure(pr)
         assert sol.converged
         r, phi = _grids(pr)
         energy = [c.energy for c in sol.cycles if c.p == p]
-        energy.append(_cell_energy(sol.omega, r, phi[1] - phi[0], p, pr.eps_reg**2, False))
+        energy.append(_cell_energy(sol.omega, r, phi[1] - phi[0], p, pr.eps_reg**2)[0])
         assert len(energy) > 1
         for before, after in zip(energy, energy[1:]):
             assert after - before <= 1e-12 * abs(before)
@@ -401,7 +420,7 @@ class TestSolveMeasure:
         sol = solve_measure(MeasureProblem(nu=1.0, p=20.0, n_r=24, n_phi=24, max_iter=400))
         assert not sol.converged
         assert sol.stop_reason == sol.summary()["stop_reason"] == "cg_capped"
-        # the p = 2 stage's direct solve, then the p = 3 stage's broken ones
+        # the direct start, then the p = 3 stage's broken ones
         assert [c.p for c in sol.cycles] == [2.0] + [3.0] * CAPPED_STOP
         assert [c.cg for c in sol.cycles] == [0] + [_multigrid.MAX_CG] * CAPPED_STOP
         assert sol.cg_capped == CAPPED_STOP
@@ -441,8 +460,8 @@ class TestSolveMeasure:
         assert [c.p for c in sol.cycles[:CAPPED_STOP + 1]] == [2.0] + [3.0] * CAPPED_STOP
 
     def test_one_cycle_record_per_picard_cycle(self, monkeypatch):
-        # each p != 2 Cycle's cg is what its cycle's pcg returned, the p = 2
-        # stage's one direct solve records 0, its p runs through the
+        # each later Cycle's cg is what its cycle's pcg returned, the direct
+        # start records 0, its p runs through the
         # continuation stages in order, and the summary's counts are counts
         # over the records
         pcg, returned = _multigrid.pcg, []
@@ -538,13 +557,15 @@ class TestSolveMeasure:
         assert abs(fits[1] - fits[0]) / abs(fits[0]) <= 0.02
 
 
-FOLD_CASES = [(2.0, 3.0, 64, 64), (2.0, 3.0, 64, 65), (1.0, 1.5, 64, 64), (1.0, 1.5, 64, 65)]
+FOLD_CASES = [(2.0, 3.0, 64, 64), (2.0, 3.0, 64, 65), (1.0, 1.5, 64, 64), (1.0, 1.5, 64, 65),
+              (1.0, 2.0, 128, 128)]
 FOLD_IDS = [f"{nu:g}-{p:g}-{n_r}x{n_phi}" for nu, p, n_r, n_phi in FOLD_CASES]
 
 
 class TestMirrorHalf:
-    """Every p != 2 stage runs on the mirror half of the grid (_fold): for
-    even n_phi the axis lies between two columns, for odd n_phi on one."""
+    """Every stage runs on the mirror half of the grid (_fold), p = 2
+    included: for even n_phi the axis lies between two columns, for odd
+    n_phi on one."""
 
     @pytest.fixture(scope="class", params=FOLD_CASES, ids=FOLD_IDS)
     def folded_sol(self, request):
@@ -576,7 +597,6 @@ class TestMirrorHalf:
         half = measure._fold(u)
         energy, hE, hN = _cell_energy(half, r, dphi, p, eps2, mirror=n_phi % 2)
         assert energy == pytest.approx(full, rel=1e-12)
-        assert energy == _cell_energy(half, r, dphi, p, eps2, False, n_phi % 2)
         want = _multigrid.apply(cE, cN, u)[:, n_phi // 2:]
         if n_phi % 2:
             want[:, 0] *= 0.5

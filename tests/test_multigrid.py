@@ -54,7 +54,7 @@ def interior_noise(shape, rng):
 def p2_system(problem, half=False):
     """cE and cN of the problem's frozen p = 2 system, and a field holding
     its Dirichlet data with a zero interior; with half, on the mirror half
-    of the grid, as the p != 2 stages form theirs."""
+    of the grid, as the Picard loop forms its systems."""
     r, phi = _grids(problem)
     u = np.zeros((problem.n_r, problem.n_phi))
     u[-1] = _boundary_data(problem, phi)
@@ -397,7 +397,7 @@ def test_cg_iterations_do_not_grow_with_the_grid():
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_p2_stage_builds_no_hierarchy(monkeypatch, p):
-    # the p = 2 stage is one direct solve; every p = 3 cycle builds its own
+    # the direct start builds no hierarchy; every p = 3 cycle builds its own
     # hierarchy and runs pcg on it once
     build, pcg, calls = _multigrid.hierarchy, _multigrid.pcg, []
 
